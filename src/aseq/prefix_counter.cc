@@ -21,7 +21,7 @@ PrefixCounter::PrefixCounter(size_t length, AggFunc func, size_t carrier_pos1)
   }
 }
 
-void PrefixCounter::ApplyPositive(size_t pos, double value) {
+bool PrefixCounter::ApplyPositive(size_t pos, double value) {
   assert(pos >= 1 && pos <= length_);
   const uint64_t prev = counts_[pos - 1];
   if (!wsum_.empty()) {
@@ -54,7 +54,7 @@ void PrefixCounter::ApplyPositive(size_t pos, double value) {
       }
     }
   }
-  counts_[pos] += prev;
+  return CountAdd(&counts_[pos], prev);
 }
 
 void PrefixCounter::ResetPrefix(size_t gap) {
@@ -71,8 +71,8 @@ AggAccum PrefixCounter::At(size_t m) const {
   assert(m >= 1 && m <= length_);
   AggAccum acc;
   acc.count = counts_[m];
-  if (!wsum_.empty() && m >= carrier_) acc.sum = wsum_[m];
-  if (!ext_.empty() && m >= carrier_ && ext_valid_[m]) {
+  acc.sum.Add(wsum_at(m));
+  if (has_ext_at(m)) {
     acc.has_ext = true;
     acc.ext = ext_[m];
   }

@@ -41,6 +41,11 @@ class Reader;
 /// extremal cases (see DESIGN.md §4 for how this relates to the paper's
 /// sketch). The negation Recounting Rule (Lemma 6) resets one cell — count,
 /// wsum, and ext together.
+///
+/// Count cells use checked additions that saturate at kCountMax. The wsum
+/// cells stay plain doubles: each cell's history is fixed by its own
+/// partition's event subsequence, so it is identical in serial, sharded
+/// and restored runs; only sums *across* cells need the exact accumulator.
 class PrefixCounter {
  public:
   /// \param length      number of positive pattern elements L (>= 1)
@@ -51,7 +56,9 @@ class PrefixCounter {
 
   /// Applies a positive arrival at 1-based position `pos`. `value` is the
   /// aggregated attribute value, used only when pos == carrier position.
-  void ApplyPositive(size_t pos, double value = 0);
+  /// Returns false when the count cell saturated at kCountMax (it never
+  /// wraps); the caller raises the sticky overflow flag.
+  bool ApplyPositive(size_t pos, double value = 0);
 
   /// Recounting Rule: a qualifying negated instance arrived whose gap is
   /// `gap` positive elements from the start — reset the prefix of that
@@ -63,6 +70,18 @@ class PrefixCounter {
 
   /// Aggregate state of the length-m prefix (1 <= m <= L).
   AggAccum At(size_t m) const;
+
+  /// The length-m prefix's weighted sum (0 before the carrier position, or
+  /// without a SUM/AVG carrier).
+  double wsum_at(size_t m) const {
+    return !wsum_.empty() && m >= carrier_ ? wsum_[m] : 0.0;
+  }
+
+  /// The length-m prefix's extremum, when one is defined (MIN/MAX only).
+  bool has_ext_at(size_t m) const {
+    return !ext_.empty() && m >= carrier_ && ext_valid_[m] != 0;
+  }
+  double ext_at(size_t m) const { return ext_[m]; }
 
   /// Count cell accessor (tests and the multi-query engines).
   uint64_t count_at(size_t m) const { return counts_[m]; }

@@ -243,6 +243,7 @@ void WriteStats(Writer* w, const EngineStats& s) {
   w->WriteU64(s.batches_processed);
   w->WriteU64(s.max_batch_events);
   w->WriteU64(s.dropped_events);
+  w->WriteBool(s.overflow);
 }
 
 Status ReadStats(Reader* r, EngineStats* s) {
@@ -262,6 +263,7 @@ Status ReadStats(Reader* r, EngineStats* s) {
   ASEQ_RETURN_NOT_OK(r->ReadU64(&s->batches_processed, "stats.batches"));
   ASEQ_RETURN_NOT_OK(r->ReadU64(&s->max_batch_events, "stats.max_batch"));
   ASEQ_RETURN_NOT_OK(r->ReadU64(&s->dropped_events, "stats.dropped"));
+  ASEQ_RETURN_NOT_OK(r->ReadBool(&s->overflow, "stats.overflow"));
   return Status::OK();
 }
 

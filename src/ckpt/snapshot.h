@@ -30,7 +30,10 @@ namespace ckpt {
 ///   1  node-based partition map (bucket-count + insertion-order payload)
 ///   2  flat partition store: interner table + slab geometry + verbatim
 ///      expiry heap; sharded containers additionally carry router state
-inline constexpr uint32_t kSnapshotFormatVersion = 2;
+///   3  exact SUM/AVG totals: SUM/AVG engines checkpoint their window
+///      clock, running totals are rebuilt on restore instead of stored,
+///      and engine stats carry the sticky count-overflow flag
+inline constexpr uint32_t kSnapshotFormatVersion = 3;
 inline constexpr char kSnapshotMagic[] = "ASEQCKPT";  // 8 bytes, no NUL
 
 /// Header fields recovered before the engine payload is touched.

@@ -46,15 +46,6 @@ ShardPlan PlanSharding(const CompiledQuery& query) {
       }
     }
   }
-  const AggFunc f = query.agg().func;
-  if (f != AggFunc::kCount && spec.parts.size() > 1 && f != AggFunc::kMin &&
-      f != AggFunc::kMax) {
-    plan.reason =
-        "AGG SUM/AVG over a multi-part partition key merges a group's "
-        "partitions in map-iteration order at trigger time; resharding "
-        "cannot reproduce that floating-point order bit-exact";
-    return plan;
-  }
   plan.shardable = true;
   return plan;
 }

@@ -87,6 +87,10 @@ struct EngineStats {
   /// arrivals past the K-slack bound in the reordering layer. Anything
   /// dropped must be visible here, never silently swallowed.
   uint64_t dropped_events = 0;
+  /// Sticky: some match count saturated at kCountMax (src/aseq/aggregate.h)
+  /// instead of wrapping. Counts, and every output from then on, are lower
+  /// bounds rather than exact; Output::overflow carries the same flag.
+  bool overflow = false;
 
   // ---- Flat partition-store diagnostics (src/container/) ----
   //
@@ -175,6 +179,7 @@ struct EngineStats {
     batches_processed = 0;
     max_batch_events = 0;
     dropped_events = 0;
+    overflow = false;
     ht_probes = 0;
     ht_probe_steps = 0;
     ht_slots = 0;

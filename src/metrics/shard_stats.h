@@ -30,6 +30,7 @@ inline void MergeBulkStats(const EngineStats& shard, EngineStats* merged) {
     merged->max_batch_events = shard.max_batch_events;
   }
   merged->dropped_events += shard.dropped_events;
+  merged->overflow = merged->overflow || shard.overflow;
   // Flat-store diagnostics: sums over shards (each shard owns its own
   // tables). Diagnostic-only — per-shard probe lengths legitimately differ
   // from a serial run's, so these are outside the equivalence contract.

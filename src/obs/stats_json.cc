@@ -49,6 +49,7 @@ std::string EngineStatsToJson(const EngineStats& stats) {
      << ",\"batches_processed\":" << stats.batches_processed
      << ",\"max_batch_events\":" << stats.max_batch_events
      << ",\"dropped_events\":" << stats.dropped_events
+     << ",\"overflow\":" << (stats.overflow ? "true" : "false")
      << ",\"ht_probes\":" << stats.ht_probes
      << ",\"ht_probe_steps\":" << stats.ht_probe_steps
      << ",\"ht_slots\":" << stats.ht_slots

@@ -31,6 +31,7 @@
 #include "multi/nonshared_engine.h"
 #include "multi/pretree_engine.h"
 #include "query/analyzer.h"
+#include "stream/generator.h"
 #include "stream/stock_stream.h"
 #include "tests/test_util.h"
 
@@ -189,9 +190,7 @@ TEST(ShardEquivalenceTest, GroupedNegation) {
 }
 
 TEST(ShardEquivalenceTest, GroupedSumSinglePart) {
-  // SUM shards when the GROUP BY key is the only partition part: each
-  // group's running sum lives on exactly one shard, so float accumulation
-  // order is untouched.
+  // Each group's running sum lives on exactly one shard.
   auto c = MakeStock(125, 4000);
   CompiledQuery cq = MustCompile(
       &c->schema,
@@ -211,13 +210,36 @@ TEST(ShardEquivalenceTest, GroupedAvgSinglePart) {
 
 TEST(ShardEquivalenceTest, GroupedMaxMultiPart) {
   // GROUP BY + an equivalence class makes a multi-part key; MAX is
-  // order-insensitive, so the cross-partition merge still shards.
+  // order-insensitive, so the cross-partition scan still shards.
   auto c = MakeStock(127, 4000);
   CompiledQuery cq = MustCompile(
       &c->schema,
       "PATTERN SEQ(DELL, IPIX) WHERE DELL.volume = IPIX.volume "
       "GROUP BY traderId AGG MAX(IPIX.price) WITHIN 800ms");
   CheckSharded(cq, c->events, "grouped-max-multipart");
+}
+
+TEST(ShardEquivalenceTest, SumAcrossMultiPartKey) {
+  // GROUP BY + an equivalence class makes a multi-part key, so one group
+  // spans many partitions whose sums merge into the group total. The sums
+  // are exact and order-independent, so splitting the groups across shards
+  // stays bit-exact. Small-cardinality parts keep the workload dense.
+  StockCase c;
+  StreamConfig config;
+  config.seed = 133;
+  config.num_events = 4000;
+  config.max_gap_ms = 4;
+  config.types = {{"A", 1.0}, {"B", 1.0}};
+  config.attrs = {AttrSpec::IntUniform("g", 0, 11),
+                  AttrSpec::IntUniform("k", 0, 2),
+                  AttrSpec::DoubleUniform("v", -1000.0, 1000.0)};
+  c.events = StreamGenerator(config, &c.schema).Generate();
+  AssignSeqNums(&c.events);
+  CompiledQuery cq = MustCompile(
+      &c.schema,
+      "PATTERN SEQ(A, B) WHERE A.k = B.k GROUP BY g AGG SUM(B.v) "
+      "WITHIN 300ms");
+  CheckSharded(cq, c.events, "sum-multipart");
 }
 
 TEST(ShardEquivalenceTest, ManyGroupsFewShards) {
@@ -285,18 +307,6 @@ TEST(ShardFallbackTest, EquivalenceOnlyPartitioning) {
       "AGG COUNT WITHIN 800ms");
   CheckFallback(cq, AseqFactory(cq), c->events, "equivalence only",
                 "equivalence-only");
-}
-
-TEST(ShardFallbackTest, SumAcrossMultiPartKey) {
-  // SUM over a multi-part key merges a group's partitions in hash-map
-  // iteration order; splitting them across shards would reorder float
-  // accumulation. Must fall back.
-  auto c = MakeStock(133, 1500);
-  CompiledQuery cq = MustCompile(
-      &c->schema,
-      "PATTERN SEQ(DELL, IPIX) WHERE DELL.volume = IPIX.volume "
-      "GROUP BY traderId AGG SUM(IPIX.price) WITHIN 800ms");
-  CheckFallback(cq, AseqFactory(cq), c->events, "order", "sum-multipart");
 }
 
 TEST(ShardFallbackTest, JoinPredicates) {
