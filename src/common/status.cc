@@ -22,6 +22,8 @@ const char* StatusCodeToString(StatusCode code) {
       return "IoError";
     case StatusCode::kInternal:
       return "Internal";
+    case StatusCode::kResourceExhausted:
+      return "ResourceExhausted";
   }
   return "Unknown";
 }

@@ -22,6 +22,7 @@ enum class StatusCode {
   kUnsupported,
   kIoError,
   kInternal,
+  kResourceExhausted,
 };
 
 /// \brief Returns a human-readable name of the status code ("InvalidArgument"...).
@@ -65,6 +66,9 @@ class Status {
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
+  }
+  static Status ResourceExhausted(std::string msg) {
+    return Status(StatusCode::kResourceExhausted, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

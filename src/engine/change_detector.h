@@ -72,6 +72,7 @@ class ChangeDetectingEngine : public QueryEngine {
   }
 
   const EngineStats& stats() const override { return inner_->stats(); }
+  Status status() const override { return inner_->status(); }
 
   Status Checkpoint(ckpt::Writer* writer) const override {
     writer->WriteBool(primed_);

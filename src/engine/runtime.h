@@ -144,9 +144,11 @@ struct RunResultBase {
   /// was set: `events` counts only what was consumed before the stop, and
   /// in-flight work was drained, so engine state is resumable.
   bool interrupted = false;
-  /// First unrecoverable supervisor failure (a shard's restart budget
-  /// exhausted, or a worker that cannot be rebuilt), or OK. A non-OK
-  /// status means the run aborted early and its results are partial.
+  /// First unrecoverable failure, or OK: a supervisor failure (a shard's
+  /// restart budget exhausted, or a worker that cannot be rebuilt), or an
+  /// engine that latched a non-OK QueryEngine::status() (a resource
+  /// budget). A non-OK status means the run aborted early and its results
+  /// are partial.
   Status fault_status = Status::OK();
 
   /// Average execution time per window slide in milliseconds — the paper's

@@ -171,9 +171,9 @@ TEST(EngineEdgeTest, TypeBothPositiveAndNegated) {
 
   // The brute-force oracle agrees at every point.
   NaiveEnumerator oracle(cq);
-  EXPECT_EQ(oracle.CountMatches(events, 1, 2), 1u);
-  EXPECT_EQ(oracle.CountMatches(events, 2, 3), 1u);
-  EXPECT_EQ(oracle.CountMatches(events, 4, 5), 2u);
+  EXPECT_EQ(*oracle.CountMatches(events, 1, 2), 1u);
+  EXPECT_EQ(*oracle.CountMatches(events, 2, 3), 1u);
+  EXPECT_EQ(*oracle.CountMatches(events, 4, 5), 2u);
 }
 
 TEST(EngineEdgeTest, TripleDuplicateType) {

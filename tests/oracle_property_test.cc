@@ -126,8 +126,9 @@ TEST_P(OraclePropertyTest, EnginesMatchBruteForce) {
     const Event& e = events[i];
     std::string context = pc.label + " seed=" + std::to_string(seed) +
                           " event#" + std::to_string(i);
-    std::map<std::string, Value> expected =
-        Canonical(oracle.Aggregate(events, i, e.ts()));
+    auto oracle_outputs = oracle.Aggregate(events, i, e.ts());
+    ASSERT_TRUE(oracle_outputs.ok()) << oracle_outputs.status().ToString();
+    std::map<std::string, Value> expected = Canonical(*oracle_outputs);
 
     scratch.clear();
     stack.OnEvent(e, &scratch);

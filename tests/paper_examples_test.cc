@@ -162,8 +162,8 @@ TEST(PaperExamplesTest, Fig10SnapshotMaintenanceHandChecked) {
 
   // Cross-check both trigger points against the brute-force enumerator.
   NaiveEnumerator oracle(compiled);
-  EXPECT_EQ(oracle.CountMatches(events, 8, 9000), 5u);
-  EXPECT_EQ(oracle.CountMatches(events, 9, 12000), 2u);
+  EXPECT_EQ(*oracle.CountMatches(events, 8, 9000), 5u);
+  EXPECT_EQ(*oracle.CountMatches(events, 9, 12000), 2u);
 }
 
 // Sec. 5 — the SUM example: "assume for all sequence matches of pattern
