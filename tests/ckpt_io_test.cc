@@ -259,34 +259,40 @@ TEST(CkptIoTest, RejectsVersionSkew) {
   std::remove(path.c_str());
 }
 
-// Version 2 (flat partition store) restructured every HPC payload:
-// interner table + slab geometry replaced the bucket-ordered node list. A
-// v1 file must be rejected at the header — before any payload parsing
-// could misread old bytes as new structure — with a message naming both
-// the file's version and the version this build reads.
-TEST(CkptIoTest, RejectsOldFormatVersion) {
-  static_assert(ckpt::kSnapshotFormatVersion >= 2,
-                "this test fakes a version-1 file; it must be old");
-  const std::string path = TempPath("verold.aseqckpt");
-  ASSERT_TRUE(ckpt::WriteSnapshotFile(path, "E", 1, "x").ok());
-  std::string bytes = ReadFileBytes(path);
-  bytes[8] = 1;  // u32 LE version field starts right after the magic
-  bytes[9] = 0;
-  bytes[10] = 0;
-  bytes[11] = 0;
-  WriteFileBytes(path, bytes);
-  ckpt::SnapshotInfo info;
-  std::string payload;
-  Status st = ckpt::ReadSnapshotFile(path, &info, &payload);
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kParseError);
-  EXPECT_NE(st.message().find("version 1"), std::string::npos)
-      << st.ToString();
-  EXPECT_NE(st.message().find("version " +
-                              std::to_string(ckpt::kSnapshotFormatVersion)),
-            std::string::npos)
-      << st.ToString();
-  std::remove(path.c_str());
+// Every older format is rejected at the header — before any payload parsing
+// could misread old bytes as new structure — with a message naming both the
+// file's version and the version this build reads. Version 2 (flat
+// partition store) restructured every HPC payload; version 3 dropped the
+// serialized running totals (restore rebuilds them, exact sums included),
+// added the window clock to SUM/AVG engines and the overflow flag to the
+// engine stats, so a v2 payload would misparse.
+TEST(CkptIoTest, RejectsOldFormatVersions) {
+  static_assert(ckpt::kSnapshotFormatVersion == 3,
+                "extend this test with the version being retired");
+  for (uint32_t old_version : {1u, 2u}) {
+    const std::string path = TempPath("verold.aseqckpt");
+    ASSERT_TRUE(ckpt::WriteSnapshotFile(path, "E", 1, "x").ok());
+    std::string bytes = ReadFileBytes(path);
+    // u32 LE version field starts right after the magic.
+    bytes[8] = static_cast<char>(old_version);
+    bytes[9] = 0;
+    bytes[10] = 0;
+    bytes[11] = 0;
+    WriteFileBytes(path, bytes);
+    ckpt::SnapshotInfo info;
+    std::string payload;
+    Status st = ckpt::ReadSnapshotFile(path, &info, &payload);
+    EXPECT_FALSE(st.ok());
+    EXPECT_EQ(st.code(), StatusCode::kParseError);
+    EXPECT_NE(st.message().find("version " + std::to_string(old_version)),
+              std::string::npos)
+        << st.ToString();
+    EXPECT_NE(st.message().find("version " +
+                                std::to_string(ckpt::kSnapshotFormatVersion)),
+              std::string::npos)
+        << st.ToString();
+    std::remove(path.c_str());
+  }
 }
 
 TEST(CkptIoTest, RejectsChecksumCorruption) {
