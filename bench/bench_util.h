@@ -88,6 +88,12 @@ inline void RunAndReport(benchmark::State& state,
   uint64_t total_events = 0;
   for (auto _ : state) {
     RunResult result = runner.RunEvents(events, engine);
+    if (!result.fault_status.ok()) {
+      // A truncated run's timing is not a measurement (e.g. the stack
+      // baseline's live-match budget ran out).
+      state.SkipWithError(result.fault_status.ToString().c_str());
+      return;
+    }
     total_seconds += result.elapsed_seconds;
     total_events += result.events;
   }

@@ -21,15 +21,14 @@ namespace container {
 /// compact and slot-order iteration stays cheap.
 ///
 /// The slab is the engine's *iteration authority*: everything observable
-/// through iteration order (floating-point merge order of SUM/AVG scans,
-/// per-group Poll output order) follows ascending slot order, and slot
-/// assignment is a pure function of the operation history (freelist LIFO,
-/// else append). Checkpoints therefore serialize the exact geometry —
-/// each entry's slot, the freelist in stack order, and the high-water
-/// mark — and a restore reproduces it with ResetGeometry + EmplaceAt +
-/// RestoreFreelist, making post-restore behavior byte-identical to the
-/// uninterrupted run. (The hash index over the slab has no such
-/// obligation and is rebuilt fresh.)
+/// through iteration order (per-group Poll output order, erase order in
+/// sweeps) follows ascending slot order, and slot assignment is a pure
+/// function of the operation history (freelist LIFO, else append).
+/// Checkpoints therefore serialize the exact geometry — each entry's slot,
+/// the freelist in stack order, and the high-water mark — and a restore
+/// reproduces it with ResetGeometry + EmplaceAt + RestoreFreelist, making
+/// post-restore behavior byte-identical to the uninterrupted run. (The hash
+/// index over the slab has no such obligation and is rebuilt fresh.)
 ///
 /// The high-water mark never shrinks: a sweep is O(end), not O(live).
 /// Erase-heavy phases leave dead slots that later inserts reclaim

@@ -30,14 +30,12 @@ struct ShardPlan {
 ///  - every negated role is constrained by the GROUP BY part (always true
 ///    for GROUP BY queries — the group part covers every element — but
 ///    checked, not assumed), so negative instances cannot invalidate
-///    partitions on other shards;
-///  - the aggregate's cross-partition merge is order-insensitive: COUNT
-///    (integer totals), any aggregate over a single-part key (one
-///    partition per group, nothing to merge), or MIN/MAX (exact in any
-///    order). SUM/AVG over a multi-part key merge a group's partitions in
-///    map-iteration order, which resharding cannot reproduce bit-exact.
-/// Everything else — ungrouped queries, equivalence-only partitioning,
-/// join predicates — falls back to serial with the reason logged.
+///    partitions on other shards.
+/// Every aggregate merges a group's partitions order-insensitively (integer
+/// counts, exact SUM/AVG sums, MIN/MAX), so the aggregate never blocks
+/// sharding. Everything else — ungrouped queries, equivalence-only
+/// partitioning, join predicates — falls back to serial with the reason
+/// logged.
 ShardPlan PlanSharding(const CompiledQuery& query);
 
 /// \brief Routes events to shards with the engine's own compiled admission

@@ -16,16 +16,16 @@ namespace aseq {
 namespace state {
 
 /// \brief Lazy per-partition expiry schedule: the amortized-O(expired)
-/// purge driver behind O(1) triggers.
+/// purge driver behind HpcEngine's O(1) COUNT/SUM/AVG triggers.
 ///
-/// Extracted from HpcEngine's COUNT fast path. Each entry names a
-/// partition (by interned key, carried by value with its pinned hash) and
-/// the earliest time something inside it expires. Advancing the clock pops
-/// every due entry and hands it to a revisit callback, which purges the
-/// partition and answers with its *next* earliest expiration — or "never"
-/// (max()), dropping the entry. Stale entries (the partition was purged
-/// further by a direct hit, or erased entirely) resolve naturally: the
-/// revisit sees the real state and reschedules or drops.
+/// Each entry names a partition (by interned key, carried by value with its
+/// pinned hash) and the earliest time something inside it expires.
+/// Advancing the clock pops every due entry and hands it to a revisit
+/// callback, which purges the partition and answers with its *next*
+/// earliest expiration — or "never" (max()), dropping the entry. Stale
+/// entries (the partition was purged further by a direct hit, or erased
+/// entirely) resolve naturally: the revisit sees the real state and
+/// reschedules or drops.
 ///
 /// The heap is checkpointed verbatim in array order: the pop order of
 /// equal deadlines depends on the internal layout, and revisit-driven
