@@ -227,7 +227,7 @@ ChopConnectEngine::SnapshotTable ChopConnectEngine::ComputeSnapshot(
         table.rows.push_back(SnapRow{entry.id, entry.exp, c, 0});
       }
     }
-    table.BuildSuffix();
+    if (!table.BuildSuffix()) stats_.overflow = true;
     return table;
   }
   // Multi-connect (Fig. 11): combine the upstream segment's counters with
@@ -246,13 +246,15 @@ ChopConnectEngine::SnapshotTable ChopConnectEngine::ComputeSnapshot(
       SnapRow& out = acc[row.tag];
       out.tag = row.tag;
       out.exp = row.exp;
-      out.count += row.count * mult;
+      if (!CountAddProduct(&out.count, row.count, mult)) {
+        stats_.overflow = true;
+      }
       out.cum = 0;
     }
   }
   table.rows.reserve(acc.size());
   for (const auto& [tag, row] : acc) table.rows.push_back(row);
-  table.BuildSuffix();
+  if (!table.BuildSuffix()) stats_.overflow = true;
   return table;
 }
 
@@ -263,7 +265,7 @@ uint64_t ChopConnectEngine::QueryTotal(size_t qi, std::vector<SegState>& dyn,
   uint64_t total = 0;
   if (segs.size() == 1) {
     for (const SegEntry& entry : last.entries) {
-      total += entry.counts.back();
+      if (!CountAdd(&total, entry.counts.back())) stats_.overflow = true;
     }
     return total;
   }
@@ -272,7 +274,9 @@ uint64_t ChopConnectEngine::QueryTotal(size_t qi, std::vector<SegState>& dyn,
     ++stats_.work_units;
     uint64_t tail = entry.counts.back();
     if (tail == 0) continue;
-    total += tail * entry.snapshots[hook].LiveSum(now);
+    if (!CountAddProduct(&total, tail, entry.snapshots[hook].LiveSum(now))) {
+      stats_.overflow = true;
+    }
   }
   return total;
 }
@@ -367,7 +371,7 @@ void ChopConnectEngine::ProcessGroupedEvent(const Event& e,
         part == nullptr ? 0 : QueryTotal(qi, part->segs, e.ts());
     out->push_back(MultiOutput{
         qi, Output{e.ts(), e.seq(), part_store_.interner().ValueOf(gid),
-                   Value(static_cast<int64_t>(total))}});
+                   Value(static_cast<int64_t>(total)), stats_.overflow}});
     ++stats_.outputs;
   }
 }
@@ -414,7 +418,9 @@ void ChopConnectEngine::ApplyUpdates(const Event& e,
         ++stats_.work_units;
       } else {
         for (SegEntry& entry : st.entries) {
-          entry.counts[pos] += entry.counts[pos - 1];
+          if (!CountAdd(&entry.counts[pos], entry.counts[pos - 1])) {
+            stats_.overflow = true;
+          }
         }
         stats_.work_units += st.entries.size();
       }
@@ -437,9 +443,10 @@ void ChopConnectEngine::ProcessEvent(const Event& e,
   for (size_t qi : trigs) {
     // Aggregate-initialize (GCC 12 raises a spurious -Wmaybe-uninitialized
     // on the variant move-assignment the field-wise form compiles to).
+    const uint64_t total = QueryTotal(qi, dyn_, e.ts());
     out->push_back(MultiOutput{
         qi, Output{e.ts(), e.seq(), std::nullopt,
-                   Value(static_cast<int64_t>(QueryTotal(qi, dyn_, e.ts())))}});
+                   Value(static_cast<int64_t>(total)), stats_.overflow}});
     ++stats_.outputs;
   }
 }
@@ -449,9 +456,10 @@ std::vector<MultiOutput> ChopConnectEngine::Poll(Timestamp now) {
   if (!grouped_) {
     Purge(now);
     for (size_t qi = 0; qi < queries_.size(); ++qi) {
+      const uint64_t total = QueryTotal(qi, dyn_, now);
       outputs.push_back(MultiOutput{
-          qi, Output{now, 0, std::nullopt,
-                     Value(static_cast<int64_t>(QueryTotal(qi, dyn_, now)))}});
+          qi, Output{now, 0, std::nullopt, Value(static_cast<int64_t>(total)),
+                     stats_.overflow}});
     }
     return outputs;
   }
@@ -463,11 +471,10 @@ std::vector<MultiOutput> ChopConnectEngine::Poll(Timestamp now) {
     for (uint32_t s = 0; s < part_store_.end(); ++s) {
       if (!part_store_.live(s)) continue;
       PartState& part = part_store_.at(s);
+      const uint64_t total = QueryTotal(qi, part.segs, now);
       outputs.push_back(MultiOutput{
-          qi,
-          Output{now, 0,
-                 part_store_.interner().ValueOf(part.key.ids[0]),
-                 Value(static_cast<int64_t>(QueryTotal(qi, part.segs, now)))}});
+          qi, Output{now, 0, part_store_.interner().ValueOf(part.key.ids[0]),
+                     Value(static_cast<int64_t>(total)), stats_.overflow}});
     }
   }
   return outputs;

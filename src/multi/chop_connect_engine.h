@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "aseq/aggregate.h"
 #include "common/status.h"
 #include "engine/engine.h"
 #include "multi/chop_plan.h"
@@ -99,12 +100,15 @@ class ChopConnectEngine : public MultiQueryEngine, public MultiShardableEngine {
     std::vector<SnapRow> rows;
     size_t cursor = 0;  // first possibly-live row
 
-    void BuildSuffix() {
+    /// Returns false when a suffix sum saturated at kCountMax.
+    bool BuildSuffix() {
       uint64_t cum = 0;
+      bool ok = true;
       for (size_t i = rows.size(); i > 0; --i) {
-        cum += rows[i - 1].count;
+        ok &= CountAdd(&cum, rows[i - 1].count);
         rows[i - 1].cum = cum;
       }
+      return ok;
     }
 
     /// Total count over non-expired rows at `now` (monotone in `now`).

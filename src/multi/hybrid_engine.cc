@@ -163,6 +163,18 @@ void HybridMultiEngine::ProcessEvent(const Event& e,
   last_objects_ = objects;
 }
 
+Status HybridMultiEngine::status() const {
+  for (const MultiPart& part : multi_parts_) {
+    Status s = part.engine->status();
+    if (!s.ok()) return s;
+  }
+  for (const SinglePart& part : single_parts_) {
+    Status s = part.engine->status();
+    if (!s.ok()) return s;
+  }
+  return Status::OK();
+}
+
 void HybridMultiEngine::SumWorkUnits() {
   uint64_t work = 0;
   stats_.adm_admitted = 0;
@@ -174,6 +186,7 @@ void HybridMultiEngine::SumWorkUnits() {
     stats_.adm_rejected_local += s.adm_rejected_local;
     stats_.adm_missing_attr += s.adm_missing_attr;
     stats_.adm_generic_cmps += s.adm_generic_cmps;
+    stats_.overflow |= s.overflow;
   };
   for (const MultiPart& part : multi_parts_) {
     work += part.engine->stats().work_units;

@@ -60,6 +60,9 @@ class HybridMultiEngine : public MultiQueryEngine,
   /// Polls every part and orders the results by workload query index.
   std::vector<MultiOutput> Poll(Timestamp now) override;
   const EngineStats& stats() const override { return stats_; }
+  /// The first part's non-OK status (a stack-routed join query's live-match
+  /// budget), or OK.
+  Status status() const override;
   /// Serializes the wrapper's own accounting plus every part's payload
   /// (multi parts, then single parts, in Create()'s deterministic order).
   Status Checkpoint(ckpt::Writer* writer) const override;

@@ -57,6 +57,14 @@ void NonSharedEngine::ProcessEvent(const Event& e,
   last_objects_ = objects;
 }
 
+Status NonSharedEngine::status() const {
+  for (const std::unique_ptr<QueryEngine>& engine : engines_) {
+    Status s = engine->status();
+    if (!s.ok()) return s;
+  }
+  return Status::OK();
+}
+
 void NonSharedEngine::SumWorkUnits() {
   uint64_t work = 0;
   stats_.adm_admitted = 0;
@@ -70,6 +78,7 @@ void NonSharedEngine::SumWorkUnits() {
     stats_.adm_rejected_local += s.adm_rejected_local;
     stats_.adm_missing_attr += s.adm_missing_attr;
     stats_.adm_generic_cmps += s.adm_generic_cmps;
+    stats_.overflow |= s.overflow;
   }
   stats_.work_units = work;
 }

@@ -51,6 +51,9 @@ class NonSharedEngine : public MultiQueryEngine, public MultiShardableEngine {
   /// Polls every sub-engine in query order.
   std::vector<MultiOutput> Poll(Timestamp now) override;
   const EngineStats& stats() const override { return stats_; }
+  /// The first sub-engine's non-OK status (the stack baseline's live-match
+  /// budget), or OK.
+  Status status() const override;
   /// Serializes the wrapper's own accounting plus every sub-engine's
   /// payload in query order.
   Status Checkpoint(ckpt::Writer* writer) const override;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "aseq/aggregate.h"
 #include "ckpt/ckpt.h"
 
 namespace aseq {
@@ -227,7 +228,10 @@ void PreTreeEngine::ApplyUpdates(const Event& e, std::vector<TrieState>& dyn) {
     for (size_t n : upd) {
       const Node& node = trie.nodes[n];
       for (Instance& inst : st) {
-        inst.counts[n] += node.parent < 0 ? 1 : inst.counts[node.parent];
+        if (!CountAdd(&inst.counts[n],
+                      node.parent < 0 ? 1 : inst.counts[node.parent])) {
+          stats_.overflow = true;
+        }
       }
       stats_.work_units += st.size();
     }
@@ -244,12 +248,14 @@ void PreTreeEngine::ApplyUpdates(const Event& e, std::vector<TrieState>& dyn) {
 }
 
 uint64_t PreTreeEngine::QueryTotal(size_t qi,
-                                   const std::vector<TrieState>& dyn) const {
+                                   const std::vector<TrieState>& dyn) {
   const int terminal = query_terminal_[qi];
   const TrieState& st = dyn[query_trie_[qi]];
   uint64_t total = 0;
   for (const Instance& inst : st) {
-    total += terminal < 0 ? 1 : inst.counts[terminal];
+    if (!CountAdd(&total, terminal < 0 ? 1 : inst.counts[terminal])) {
+      stats_.overflow = true;
+    }
   }
   return total;
 }
@@ -276,6 +282,7 @@ void PreTreeEngine::ProcessEvent(const Event& e,
       mo.output.ts = e.ts();
       mo.output.seq = e.seq();
       mo.output.value = Value(static_cast<int64_t>(QueryTotal(qi, dyn_)));
+      mo.output.overflow = stats_.overflow;
       out->push_back(std::move(mo));
       ++stats_.outputs;
     }
@@ -350,6 +357,7 @@ void PreTreeEngine::ProcessGroupedEvent(const Event& e,
       mo.output.seq = e.seq();
       mo.output.group = part_store_.interner().ValueOf(gid);
       mo.output.value = Value(static_cast<int64_t>(total));
+      mo.output.overflow = stats_.overflow;
       out->push_back(std::move(mo));
       ++stats_.outputs;
     }
@@ -365,6 +373,7 @@ std::vector<MultiOutput> PreTreeEngine::Poll(Timestamp now) {
       mo.query_index = qi;
       mo.output.ts = now;
       mo.output.value = Value(static_cast<int64_t>(QueryTotal(qi, dyn_)));
+      mo.output.overflow = stats_.overflow;
       outputs.push_back(std::move(mo));
     }
     return outputs;
@@ -382,6 +391,7 @@ std::vector<MultiOutput> PreTreeEngine::Poll(Timestamp now) {
       mo.output.ts = now;
       mo.output.group = part_store_.interner().ValueOf(part.key.ids[0]);
       mo.output.value = Value(static_cast<int64_t>(QueryTotal(qi, part.tries)));
+      mo.output.overflow = stats_.overflow;
       outputs.push_back(std::move(mo));
     }
   }

@@ -134,7 +134,7 @@ class PreTreeEngine : public MultiQueryEngine, public MultiShardableEngine {
   /// (clock advance + per-group report).
   void ProcessGroupedEvent(const Event& e, std::vector<MultiOutput>* out);
   /// Query qi's current total within one counting scope.
-  uint64_t QueryTotal(size_t qi, const std::vector<TrieState>& dyn) const;
+  uint64_t QueryTotal(size_t qi, const std::vector<TrieState>& dyn);
 
   /// Earliest live instance expiration across a partition's tries, or
   /// WindowClock::kNever when it holds no instances.
