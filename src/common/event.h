@@ -40,6 +40,9 @@ class Event {
   /// Sets (or overwrites) an attribute value.
   void SetAttr(AttrId attr, Value value);
 
+  /// Reserves room for `n` attributes, so n SetAttr calls allocate once.
+  void ReserveAttrs(size_t n) { attrs_.reserve(n); }
+
   /// Returns the attribute value, or nullptr if absent. Inline: this is
   /// the single hottest call of the admission path (a few compares over a
   /// tiny flat vector — the call overhead used to cost more than the scan).

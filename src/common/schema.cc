@@ -7,7 +7,7 @@ const std::string kUnknownName = "?";
 }  // namespace
 
 EventTypeId Schema::RegisterEventType(std::string_view name) {
-  auto it = type_ids_.find(std::string(name));
+  auto it = type_ids_.find(name);
   if (it != type_ids_.end()) return it->second;
   EventTypeId id = static_cast<EventTypeId>(type_names_.size());
   type_names_.emplace_back(name);
@@ -16,7 +16,7 @@ EventTypeId Schema::RegisterEventType(std::string_view name) {
 }
 
 AttrId Schema::RegisterAttribute(std::string_view name) {
-  auto it = attr_ids_.find(std::string(name));
+  auto it = attr_ids_.find(name);
   if (it != attr_ids_.end()) return it->second;
   AttrId id = static_cast<AttrId>(attr_names_.size());
   attr_names_.emplace_back(name);
@@ -25,7 +25,7 @@ AttrId Schema::RegisterAttribute(std::string_view name) {
 }
 
 Result<EventTypeId> Schema::FindEventType(std::string_view name) const {
-  auto it = type_ids_.find(std::string(name));
+  auto it = type_ids_.find(name);
   if (it == type_ids_.end()) {
     return Status::NotFound("unknown event type: " + std::string(name));
   }
@@ -33,7 +33,7 @@ Result<EventTypeId> Schema::FindEventType(std::string_view name) const {
 }
 
 Result<AttrId> Schema::FindAttribute(std::string_view name) const {
-  auto it = attr_ids_.find(std::string(name));
+  auto it = attr_ids_.find(name);
   if (it == attr_ids_.end()) {
     return Status::NotFound("unknown attribute: " + std::string(name));
   }

@@ -2,6 +2,7 @@
 #define ASEQ_COMMON_SCHEMA_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -55,9 +56,20 @@ class Schema {
   size_t num_attributes() const { return attr_names_.size(); }
 
  private:
-  std::unordered_map<std::string, EventTypeId> type_ids_;
+  /// Transparent hash: lookups by string_view build no std::string.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+  template <typename Id>
+  using NameMap =
+      std::unordered_map<std::string, Id, NameHash, std::equal_to<>>;
+
+  NameMap<EventTypeId> type_ids_;
   std::vector<std::string> type_names_;
-  std::unordered_map<std::string, AttrId> attr_ids_;
+  NameMap<AttrId> attr_ids_;
   std::vector<std::string> attr_names_;
 };
 

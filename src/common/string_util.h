@@ -7,9 +7,6 @@
 
 namespace aseq {
 
-/// Splits `s` on `sep`, keeping empty fields.
-std::vector<std::string> SplitString(std::string_view s, char sep);
-
 /// Removes leading and trailing ASCII whitespace.
 std::string_view TrimWhitespace(std::string_view s);
 

@@ -197,6 +197,16 @@ TEST(CliTest, GenerateThenRunTrace) {
   EXPECT_NE(run.out.find("events:        500"), std::string::npos);
 }
 
+TEST(CliTest, DirectoryAsTraceFails) {
+  CliResult r = RunTool({"run", "--query",
+                         "PATTERN SEQ(DELL, IPIX) AGG COUNT WITHIN 1s",
+                         "--trace", ::testing::TempDir(), "--quiet"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("error reading trace file"), std::string::npos)
+      << r.err;
+  EXPECT_EQ(r.out.find("events:"), std::string::npos) << r.out;
+}
+
 TEST(CliTest, GenerateRequiresOut) {
   CliResult r = RunTool({"generate", "--clicks", "10"});
   EXPECT_EQ(r.code, 1);

@@ -246,15 +246,6 @@ TEST(RngTest, CoversRange) {
 // string_util
 // --------------------------------------------------------------------------
 
-TEST(StringUtilTest, Split) {
-  auto parts = SplitString("a,b,,c", ',');
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[2], "");
-  EXPECT_EQ(parts[3], "c");
-  EXPECT_EQ(SplitString("", ',').size(), 1u);
-}
-
 TEST(StringUtilTest, Trim) {
   EXPECT_EQ(TrimWhitespace("  x y \t\n"), "x y");
   EXPECT_EQ(TrimWhitespace(""), "");
