@@ -62,24 +62,6 @@ std::string ParentDir(const std::string& path) {
   return path.substr(0, slash);
 }
 
-Status PayloadToEngine(const std::string& path, const std::string& name,
-                       const std::function<Status(Reader*)>& restore,
-                       uint64_t* stream_offset) {
-  SnapshotInfo info;
-  std::string payload;
-  ASEQ_RETURN_NOT_OK(ReadSnapshotFile(path, &info, &payload));
-  if (info.engine_name != name) {
-    return Status::InvalidArgument(
-        "snapshot '" + path + "' was taken by engine '" + info.engine_name +
-        "' but is being restored into '" + name + "'");
-  }
-  Reader reader(payload);
-  ASEQ_RETURN_NOT_OK(restore(&reader));
-  ASEQ_RETURN_NOT_OK(reader.ExpectEnd());
-  *stream_offset = info.stream_offset;
-  return Status::OK();
-}
-
 }  // namespace
 
 namespace {
@@ -230,49 +212,25 @@ Status ReadSnapshotFile(const std::string& path, SnapshotInfo* info,
   return Status::OK();
 }
 
-Status SaveEngineSnapshot(const std::string& path, const QueryEngine& engine,
-                          uint64_t stream_offset) {
-  Writer payload;
-  ASEQ_RETURN_NOT_OK(engine.Checkpoint(&payload));
-  return WriteSnapshotFile(path, engine.name(), stream_offset,
-                           payload.buffer());
+Status ReadEngineSnapshot(const std::string& path,
+                          const std::string& engine_name, std::string* payload,
+                          uint64_t* stream_offset) {
+  SnapshotInfo info;
+  ASEQ_RETURN_NOT_OK(ReadSnapshotFile(path, &info, payload));
+  if (info.engine_name != engine_name) {
+    return Status::InvalidArgument(
+        "snapshot '" + path + "' was taken by engine '" + info.engine_name +
+        "' but is being restored into '" + engine_name + "'");
+  }
+  *stream_offset = info.stream_offset;
+  return Status::OK();
 }
 
-Status SaveMultiSnapshot(const std::string& path,
-                         const MultiQueryEngine& engine,
-                         uint64_t stream_offset) {
-  Writer payload;
-  ASEQ_RETURN_NOT_OK(engine.Checkpoint(&payload));
-  return WriteSnapshotFile(path, engine.name(), stream_offset,
-                           payload.buffer());
-}
-
-Status RestoreEngineSnapshot(const std::string& path, QueryEngine* engine,
-                             uint64_t* stream_offset) {
-  return PayloadToEngine(
-      path, engine->name(),
-      [engine](Reader* r) { return engine->Restore(r); }, stream_offset);
-}
-
-Status RestoreMultiSnapshot(const std::string& path, MultiQueryEngine* engine,
-                            uint64_t* stream_offset) {
-  return PayloadToEngine(
-      path, engine->name(),
-      [engine](Reader* r) { return engine->Restore(r); }, stream_offset);
-}
-
-namespace {
-
-/// Shared container writer/reader behind both the single- and multi-query
-/// SaveShardedSnapshot / RestoreShardedSnapshot overloads: the layout is
-/// identical, only the engine type the shard payloads round-trip through
-/// differs (the engine name in the header separates the two families).
-template <typename EngineT>
-Status SaveShardedSnapshotImpl(const std::string& path,
-                               std::span<const EngineT* const> shards,
-                               uint64_t stream_offset,
-                               const EngineStats& merged,
-                               std::string_view router_state) {
+template <class EngineT>
+Status SaveShardedSnapshot(const std::string& path,
+                           std::span<const EngineT* const> shards,
+                           uint64_t stream_offset, const EngineStats& merged,
+                           std::string_view router_state) {
   if (shards.empty()) {
     return Status::InvalidArgument(
         "sharded snapshot requires at least one shard engine");
@@ -290,11 +248,11 @@ Status SaveShardedSnapshotImpl(const std::string& path,
                            stream_offset, payload.buffer());
 }
 
-template <typename EngineT>
-Status RestoreShardedSnapshotImpl(const std::string& path,
-                                  std::span<EngineT* const> shards,
-                                  uint64_t* stream_offset, EngineStats* merged,
-                                  std::string* router_state) {
+template <class EngineT>
+Status RestoreShardedSnapshot(const std::string& path,
+                              std::span<EngineT* const> shards,
+                              uint64_t* stream_offset, EngineStats* merged,
+                              std::string* router_state) {
   if (shards.empty()) {
     return Status::InvalidArgument(
         "sharded snapshot requires at least one shard engine");
@@ -332,39 +290,18 @@ Status RestoreShardedSnapshotImpl(const std::string& path,
   return Status::OK();
 }
 
-}  // namespace
-
-Status SaveShardedSnapshot(const std::string& path,
-                           std::span<const QueryEngine* const> shards,
-                           uint64_t stream_offset, const EngineStats& merged,
-                           std::string_view router_state) {
-  return SaveShardedSnapshotImpl(path, shards, stream_offset, merged,
-                                 router_state);
-}
-
-Status RestoreShardedSnapshot(const std::string& path,
-                              std::span<QueryEngine* const> shards,
-                              uint64_t* stream_offset, EngineStats* merged,
-                              std::string* router_state) {
-  return RestoreShardedSnapshotImpl(path, shards, stream_offset, merged,
-                                    router_state);
-}
-
-Status SaveShardedSnapshot(const std::string& path,
-                           std::span<const MultiQueryEngine* const> shards,
-                           uint64_t stream_offset, const EngineStats& merged,
-                           std::string_view router_state) {
-  return SaveShardedSnapshotImpl(path, shards, stream_offset, merged,
-                                 router_state);
-}
-
-Status RestoreShardedSnapshot(const std::string& path,
-                              std::span<MultiQueryEngine* const> shards,
-                              uint64_t* stream_offset, EngineStats* merged,
-                              std::string* router_state) {
-  return RestoreShardedSnapshotImpl(path, shards, stream_offset, merged,
-                                    router_state);
-}
+template Status SaveShardedSnapshot<QueryEngine>(
+    const std::string&, std::span<const QueryEngine* const>, uint64_t,
+    const EngineStats&, std::string_view);
+template Status SaveShardedSnapshot<MultiQueryEngine>(
+    const std::string&, std::span<const MultiQueryEngine* const>, uint64_t,
+    const EngineStats&, std::string_view);
+template Status RestoreShardedSnapshot<QueryEngine>(
+    const std::string&, std::span<QueryEngine* const>, uint64_t*,
+    EngineStats*, std::string*);
+template Status RestoreShardedSnapshot<MultiQueryEngine>(
+    const std::string&, std::span<MultiQueryEngine* const>, uint64_t*,
+    EngineStats*, std::string*);
 
 std::string SnapshotPathForOffset(const std::string& dir, uint64_t offset) {
   std::string digits = std::to_string(offset);

@@ -70,20 +70,42 @@ void SetSnapshotWriteObserver(
 Status ReadSnapshotFile(const std::string& path, SnapshotInfo* info,
                         std::string* payload);
 
+/// Reads a snapshot taken by the engine named `engine_name` and returns its
+/// payload and stream offset. Fails — before any engine is touched — on
+/// any ReadSnapshotFile error and on an engine-name mismatch.
+Status ReadEngineSnapshot(const std::string& path,
+                          const std::string& engine_name, std::string* payload,
+                          uint64_t* stream_offset);
+
 /// Checkpoints `engine` (plus the stream offset) into a snapshot file.
-Status SaveEngineSnapshot(const std::string& path, const QueryEngine& engine,
-                          uint64_t stream_offset);
-Status SaveMultiSnapshot(const std::string& path,
-                         const MultiQueryEngine& engine,
-                         uint64_t stream_offset);
+/// `EngineT` is any engine with Checkpoint()/name() — a QueryEngine or a
+/// MultiQueryEngine; the file format does not distinguish them (the
+/// engine name does).
+template <class EngineT>
+Status SaveEngineSnapshot(const std::string& path, const EngineT& engine,
+                          uint64_t stream_offset) {
+  Writer payload;
+  ASEQ_RETURN_NOT_OK(engine.Checkpoint(&payload));
+  return WriteSnapshotFile(path, engine.name(), stream_offset,
+                           payload.buffer());
+}
 
 /// Restores a snapshot into a freshly constructed engine for the same
-/// query. Fails without modifying `engine` if the file is invalid or was
-/// taken by a different engine (name mismatch).
-Status RestoreEngineSnapshot(const std::string& path, QueryEngine* engine,
-                             uint64_t* stream_offset);
-Status RestoreMultiSnapshot(const std::string& path, MultiQueryEngine* engine,
-                            uint64_t* stream_offset);
+/// query or workload. Fails without modifying `engine` if the file is
+/// invalid or was taken by a different engine (name mismatch).
+template <class EngineT>
+Status RestoreEngineSnapshot(const std::string& path, EngineT* engine,
+                             uint64_t* stream_offset) {
+  std::string payload;
+  uint64_t offset = 0;
+  ASEQ_RETURN_NOT_OK(
+      ReadEngineSnapshot(path, engine->name(), &payload, &offset));
+  Reader reader(payload);
+  ASEQ_RETURN_NOT_OK(engine->Restore(&reader));
+  ASEQ_RETURN_NOT_OK(reader.ExpectEnd());
+  *stream_offset = offset;
+  return Status::OK();
+}
 
 /// \brief Multi-shard snapshot container (sharded execution).
 ///
@@ -104,26 +126,18 @@ Status RestoreMultiSnapshot(const std::string& path, MultiQueryEngine* engine,
 ///
 /// Restore validates the shard count against the engines supplied, so a
 /// run restored with a different --shards N fails with a clear message
-/// instead of scrambling partition ownership.
+/// instead of scrambling partition ownership. `EngineT` is QueryEngine or
+/// MultiQueryEngine (instantiated for both); the engine name in the header
+/// keeps the two container families from restoring into each other — a
+/// workload engine's name never equals a single-query engine's.
+template <class EngineT>
 Status SaveShardedSnapshot(const std::string& path,
-                           std::span<const QueryEngine* const> shards,
+                           std::span<const EngineT* const> shards,
                            uint64_t stream_offset, const EngineStats& merged,
                            std::string_view router_state);
+template <class EngineT>
 Status RestoreShardedSnapshot(const std::string& path,
-                              std::span<QueryEngine* const> shards,
-                              uint64_t* stream_offset, EngineStats* merged,
-                              std::string* router_state);
-
-/// Multi-query variants: identical container layout, the shard payloads
-/// are MultiQueryEngine checkpoints (the engine name check keeps the two
-/// container families from restoring into each other — a multi-query
-/// engine's name never equals a single-query engine's).
-Status SaveShardedSnapshot(const std::string& path,
-                           std::span<const MultiQueryEngine* const> shards,
-                           uint64_t stream_offset, const EngineStats& merged,
-                           std::string_view router_state);
-Status RestoreShardedSnapshot(const std::string& path,
-                              std::span<MultiQueryEngine* const> shards,
+                              std::span<EngineT* const> shards,
                               uint64_t* stream_offset, EngineStats* merged,
                               std::string* router_state);
 

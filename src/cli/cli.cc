@@ -286,42 +286,62 @@ Result<CompiledQuery> CompileQuery(const FlagSet& flags, Schema* schema) {
   return analyzer.AnalyzeText(text);
 }
 
-Result<std::unique_ptr<QueryEngine>> MakeEngine(const FlagSet& flags,
-                                                const CompiledQuery& query) {
-  std::string kind = flags.GetString("engine", "aseq");
-  std::unique_ptr<QueryEngine> engine;
-  if (kind == "aseq") {
-    ASEQ_ASSIGN_OR_RETURN(engine, CreateAseqEngine(query));
-  } else if (kind == "stack") {
-    engine = std::make_unique<StackEngine>(query);
-  } else {
+/// The `run` engine stack named by --engine / --emit-on-change / --slack,
+/// validated up front so a bad value fails before any trace is read.
+struct EngineSpec {
+  std::string kind = "aseq";
+  bool emit_on_change = false;
+  int64_t slack = 0;
+};
+
+Result<EngineSpec> EngineSpecFromFlags(const FlagSet& flags) {
+  EngineSpec spec;
+  spec.kind = flags.GetString("engine", "aseq");
+  if (spec.kind != "aseq" && spec.kind != "stack") {
     return Status::InvalidArgument("--engine must be 'aseq' or 'stack'");
   }
-  if (flags.GetBool("emit-on-change")) {
-    engine = std::make_unique<ChangeDetectingEngine>(std::move(engine));
-  }
-  ASEQ_ASSIGN_OR_RETURN(int64_t slack, flags.GetInt("slack", 0));
-  if (slack < 0) {
+  spec.emit_on_change = flags.GetBool("emit-on-change");
+  ASEQ_ASSIGN_OR_RETURN(spec.slack, flags.GetInt("slack", 0));
+  if (spec.slack < 0) {
     return Status::InvalidArgument(
         "--slack expects MS >= 0 (the K-slack disorder bound; 0 disables "
         "reordering)");
   }
-  if (slack > 0) {
-    engine = std::make_unique<ReorderingEngine>(std::move(engine), slack);
+  return spec;
+}
+
+Result<std::unique_ptr<QueryEngine>> MakeEngine(const EngineSpec& spec,
+                                                const CompiledQuery& query) {
+  std::unique_ptr<QueryEngine> engine;
+  if (spec.kind == "aseq") {
+    ASEQ_ASSIGN_OR_RETURN(engine, CreateAseqEngine(query));
+  } else {
+    engine = std::make_unique<StackEngine>(query);
+  }
+  if (spec.emit_on_change) {
+    engine = std::make_unique<ChangeDetectingEngine>(std::move(engine));
+  }
+  if (spec.slack > 0) {
+    engine = std::make_unique<ReorderingEngine>(std::move(engine), spec.slack);
   }
   return engine;
 }
 
 /// Per-run observability objects behind --metrics-out / --trace-out /
 /// --stats-json, plus the process-global observer registrations
-/// (checkpoint writes, fault fires). The destructor stops the emitter,
-/// closes the trace, and clears the observers, so every exit path —
-/// including aborted runs — leaves valid files and no dangling globals.
+/// (checkpoint writes, fault fires). ParseFlags only validates; Open
+/// creates the sinks, so a failed invocation never truncates an existing
+/// file. The destructor stops the emitter, closes the trace, and clears
+/// the observers, so every exit path — including aborted runs — leaves
+/// valid files and no dangling globals.
 struct Observability {
+  std::string metrics_path;
+  std::string trace_path;
+  std::string stats_json_path;
+  uint64_t metrics_every_ms = 1000;
   std::unique_ptr<obs::Telemetry> telemetry;
   std::unique_ptr<obs::TraceWriter> trace;
   std::unique_ptr<obs::MetricsEmitter> emitter;
-  std::string stats_json_path;
   bool observers_registered = false;
   bool finished = false;
 
@@ -332,6 +352,32 @@ struct Observability {
       fault::Injector::Global().SetFireObserver({});
     }
   }
+
+  /// Parses --metrics-out/--metrics-every-ms/--trace-out/--stats-json.
+  Status ParseFlags(const FlagSet& flags) {
+    metrics_path = flags.GetString("metrics-out");
+    trace_path = flags.GetString("trace-out");
+    stats_json_path = flags.GetString("stats-json");
+    ASEQ_ASSIGN_OR_RETURN(int64_t every,
+                          flags.GetInt("metrics-every-ms", 1000));
+    if (every <= 0) {
+      return Status::InvalidArgument(
+          "--metrics-every-ms expects MS > 0 between metric snapshots "
+          "(default 1000)");
+    }
+    if (flags.Has("metrics-every-ms") && metrics_path.empty()) {
+      return Status::InvalidArgument(
+          "--metrics-every-ms has no effect without --metrics-out FILE");
+    }
+    metrics_every_ms = static_cast<uint64_t>(every);
+    return Status::OK();
+  }
+
+  /// Builds the run's telemetry registry and opens the sinks. `label`
+  /// names the run in the metrics header (engine kind or workload
+  /// strategy — the policy object does not exist yet when the registry
+  /// must be built, since executors copy RunOptions at construction).
+  Status Open(size_t num_shards, const std::string& label);
 
   /// Final flush: one last metrics interval, the utilization summary line
   /// (when the run produced per-shard busy spans), and the trace's closing
@@ -351,53 +397,34 @@ struct Observability {
   }
 };
 
-/// Parses --metrics-out/--metrics-every-ms/--trace-out/--stats-json and
-/// builds the run's telemetry registry + sinks. `label` names the run in
-/// the metrics header (engine kind or workload strategy — the policy
-/// object does not exist yet when the registry must be built, since
-/// executors copy RunOptions at construction).
-Status SetupObservability(const FlagSet& flags, const RunOptions& options,
-                          const std::string& label, Observability* o) {
-  const std::string metrics_path = flags.GetString("metrics-out");
-  const std::string trace_path = flags.GetString("trace-out");
-  o->stats_json_path = flags.GetString("stats-json");
-  ASEQ_ASSIGN_OR_RETURN(int64_t every, flags.GetInt("metrics-every-ms", 1000));
-  if (every <= 0) {
-    return Status::InvalidArgument(
-        "--metrics-every-ms expects MS > 0 between metric snapshots "
-        "(default 1000)");
-  }
-  if (flags.Has("metrics-every-ms") && metrics_path.empty()) {
-    return Status::InvalidArgument(
-        "--metrics-every-ms has no effect without --metrics-out FILE");
-  }
+Status Observability::Open(size_t num_shards, const std::string& label) {
   if (metrics_path.empty() && trace_path.empty()) return Status::OK();
 
-  o->telemetry = std::make_unique<obs::Telemetry>(options.num_shards);
+  telemetry = std::make_unique<obs::Telemetry>(num_shards);
   if (!trace_path.empty()) {
-    o->trace = std::make_unique<obs::TraceWriter>(
-        trace_path, o->telemetry->start_ns(), options.num_shards);
-    if (!o->trace->ok()) {
+    trace = std::make_unique<obs::TraceWriter>(
+        trace_path, telemetry->start_ns(), num_shards);
+    if (!trace->ok()) {
       return Status::IoError("cannot open --trace-out file '" + trace_path +
                              "'");
     }
-    o->telemetry->set_trace(o->trace.get());
+    telemetry->set_trace(trace.get());
   }
   if (!metrics_path.empty()) {
-    o->emitter = std::make_unique<obs::MetricsEmitter>(
-        metrics_path, static_cast<uint64_t>(every), o->telemetry.get(),
+    emitter = std::make_unique<obs::MetricsEmitter>(
+        metrics_path, metrics_every_ms, telemetry.get(),
         "\"label\":\"" + label + "\"");
-    if (!o->emitter->ok()) {
+    if (!emitter->ok()) {
       return Status::IoError("cannot open --metrics-out file '" +
                              metrics_path + "'");
     }
-    o->telemetry->set_emitter(o->emitter.get());
+    telemetry->set_emitter(emitter.get());
   }
 
   // Durability hook: every successful snapshot write flushes the metrics
   // file and stamps a trace instant, so the observability files on disk
   // cover at least as much of the run as the newest checkpoint.
-  obs::Telemetry* tel = o->telemetry.get();
+  obs::Telemetry* tel = telemetry.get();
   ckpt::SetSnapshotWriteObserver(
       [tel](const std::string& /*path*/, uint64_t offset) {
         if (tel->trace() != nullptr) {
@@ -422,7 +449,7 @@ Status SetupObservability(const FlagSet& flags, const RunOptions& options,
              {"kind", fault::KindName(kind)},
              obs::TraceWriter::NumArg("lane", lane)});
       });
-  o->observers_registered = true;
+  observers_registered = true;
   return Status::OK();
 }
 
@@ -532,71 +559,81 @@ void PrintOutput(std::ostream& out, const Output& output) {
   out << "\n";
 }
 
-int CmdRun(const FlagSet& flags, std::ostream& out, std::ostream& err) {
-  Status known = flags.CheckKnown(
-      {"query", "trace", "stock", "clicks", "engine", "slack", "seed", "gap",
-       "limit", "quiet", "emit-on-change", "batch-size", "shards",
-       "checkpoint-every", "checkpoint-dir", "restore-from", "supervise",
-       "watchdog-timeout-ms", "recovery-every", "max-restarts",
-       "overload-policy", "overload-watermark", "fault-spec", "fault-seed",
-       "pin-threads", "metrics-out", "metrics-every-ms", "trace-out",
-       "stats-json"});
-  if (!known.ok()) {
-    err << known.ToString() << "\n";
+/// Flags every executing command (`run`, `workload`) accepts on top of
+/// its own: the source, batching, sharding, checkpoint, supervision and
+/// observability groups.
+const char* const kRunDriverFlags[] = {
+    "trace",          "stock",          "clicks",
+    "seed",           "gap",            "batch-size",
+    "shards",         "checkpoint-every", "checkpoint-dir",
+    "restore-from",   "supervise",      "watchdog-timeout-ms",
+    "recovery-every", "max-restarts",   "overload-policy",
+    "overload-watermark", "fault-spec", "fault-seed",
+    "pin-threads",    "metrics-out",    "metrics-every-ms",
+    "trace-out",      "stats-json"};
+
+/// \brief The one driver behind `run` and `workload`: flag validation,
+/// observability, policy construction, restore, the run itself and its
+/// status handling. `Cmd` contributes only what differs:
+///   flags                 the parsed command line
+///   Kind                  the engine kind (exec::QueryKind / WorkloadKind)
+///   kOwnFlags             flags beyond kRunDriverFlags
+///   ParseFlags()          its own flag checks (before anything is loaded)
+///   Label()               the metrics-header label
+///   Compile(schema)       compiles its query / queries into `queries`
+///   Factory(schema, out)  its engine factory
+///   Report(...)           prints the results and the stats block
+template <class Cmd>
+int DriveRun(Cmd& cmd, std::ostream& out, std::ostream& err) {
+  const FlagSet& flags = cmd.flags;
+  std::vector<std::string> known(std::begin(kRunDriverFlags),
+                                 std::end(kRunDriverFlags));
+  known.insert(known.end(), std::begin(Cmd::kOwnFlags),
+               std::end(Cmd::kOwnFlags));
+  Status known_status = flags.CheckKnown(known);
+  if (!known_status.ok()) {
+    err << known_status.ToString() << "\n";
     return 2;
   }
-  // Validate every flag combination before any expensive work so a typo'd
-  // invocation fails in microseconds.
+  const auto fail = [&err](const Status& status) {
+    err << status.ToString() << "\n";
+    return 1;
+  };
+  // Validate every flag combination before any expensive work — reading
+  // the trace, building engines, opening output files — so a typo'd
+  // invocation fails in microseconds and leaves no file behind.
   auto options = BatchOptionsFromFlags(flags);
-  if (!options.ok()) {
-    err << options.status().ToString() << "\n";
-    return 1;
-  }
+  if (!options.ok()) return fail(options.status());
   std::string restore_from;
-  Status ckpt_flags = CheckpointFlagsInto(flags, &*options, &restore_from);
-  if (!ckpt_flags.ok()) {
-    err << ckpt_flags.ToString() << "\n";
-    return 1;
-  }
-  Status sup_flags = SupervisionFlagsInto(flags, &*options);
-  if (!sup_flags.ok()) {
-    err << sup_flags.ToString() << "\n";
-    return 1;
-  }
-  options->stop_requested = &CliStopFlag();
-  // Telemetry must be in the options BEFORE MakePolicy: executors copy
-  // RunOptions at construction.
   Observability obsv;
-  Status obs_flags = SetupObservability(flags, *options,
-                                        flags.GetString("engine", "aseq"),
-                                        &obsv);
-  if (!obs_flags.ok()) {
-    err << obs_flags.ToString() << "\n";
-    return 1;
+  if (Status s = CheckpointFlagsInto(flags, &*options, &restore_from);
+      !s.ok()) {
+    return fail(s);
+  }
+  if (Status s = SupervisionFlagsInto(flags, &*options); !s.ok()) {
+    return fail(s);
+  }
+  if (Status s = cmd.ParseFlags(); !s.ok()) return fail(s);
+  if (Status s = obsv.ParseFlags(flags); !s.ok()) return fail(s);
+  options->stop_requested = &CliStopFlag();
+  Schema schema;
+  if (Status s = cmd.Compile(&schema); !s.ok()) return fail(s);
+  auto events = LoadEvents(flags, &schema);
+  if (!events.ok()) return fail(events.status());
+  // Telemetry must be in the options BEFORE the policy is built:
+  // executors copy RunOptions at construction.
+  if (Status s = obsv.Open(options->num_shards, cmd.Label()); !s.ok()) {
+    return fail(s);
   }
   options->telemetry = obsv.telemetry.get();
-  Schema schema;
-  auto query = CompileQuery(flags, &schema);
-  if (!query.ok()) {
-    err << query.status().ToString() << "\n";
-    return 1;
-  }
-  auto events = LoadEvents(flags, &schema);
-  if (!events.ok()) {
-    err << events.status().ToString() << "\n";
-    return 1;
-  }
+
   // All execution goes through a policy: serial for --shards 1 (the
-  // default, byte-identical to the old direct path), partition-parallel
-  // otherwise. Unshardable queries fall back to serial with a note.
+  // default), partition-parallel otherwise. A query or workload that
+  // cannot shard falls back to serial with a note.
   std::string fallback_reason;
-  auto policy = exec::MakePolicy(
-      *query, [&] { return MakeEngine(flags, *query); }, *options,
-      &fallback_reason);
-  if (!policy.ok()) {
-    err << policy.status().ToString() << "\n";
-    return 1;
-  }
+  auto policy = exec::MakePolicyT<typename Cmd::Kind>(
+      cmd.queries, cmd.Factory(schema, out), *options, &fallback_reason);
+  if (!policy.ok()) return fail(policy.status());
   if (!fallback_reason.empty()) {
     err << "note: sharding disabled (" << fallback_reason
         << "); running serially\n";
@@ -604,10 +641,7 @@ int CmdRun(const FlagSet& flags, std::ostream& out, std::ostream& err) {
   if (!restore_from.empty()) {
     uint64_t offset = 0;
     Status restored = (*policy)->Restore(restore_from, &offset);
-    if (!restored.ok()) {
-      err << restored.ToString() << "\n";
-      return 1;
-    }
+    if (!restored.ok()) return fail(restored);
     if (offset > events->size()) {
       err << "InvalidArgument: snapshot '" << restore_from
           << "' was taken at stream offset " << offset
@@ -622,7 +656,7 @@ int CmdRun(const FlagSet& flags, std::ostream& out, std::ostream& err) {
         << "; replaying " << events->size() << " remaining events\n";
   }
   if (obsv.emitter != nullptr) obsv.emitter->Start();
-  RunResult result = (*policy)->RunEvents(*events);
+  auto result = (*policy)->RunEvents(*events);
   obsv.Finish((*policy)->shard_busy_seconds());
   if (!result.fault_status.ok()) {
     err << "error: run aborted: " << result.fault_status.ToString() << "\n";
@@ -637,43 +671,75 @@ int CmdRun(const FlagSet& flags, std::ostream& out, std::ostream& err) {
     err << "warning: checkpointing stopped: "
         << result.checkpoint_status.ToString() << "\n";
   }
-  if (auto* reordering =
-          dynamic_cast<ReorderingEngine*>((*policy)->serial_engine())) {
-    std::vector<Output> tail;
-    StopWatch watch;
-    reordering->Finish(&tail);
-    result.elapsed_seconds += watch.ElapsedSeconds();
-    result.outputs.insert(result.outputs.end(), tail.begin(), tail.end());
-    if (reordering->dropped_events() > 0) {
-      err << "warning: " << reordering->dropped_events()
-          << " events arrived beyond --slack and were dropped\n";
-    }
-  }
-  if (!flags.GetBool("quiet")) {
-    auto limit_or = flags.GetInt("limit", 20);
-    size_t limit = limit_or.ok() && *limit_or >= 0
-                       ? static_cast<size_t>(*limit_or)
-                       : 20;
-    size_t start = result.outputs.size() > limit
-                       ? result.outputs.size() - limit
-                       : 0;
-    if (start > 0) {
-      out << "... (" << start << " earlier results omitted; --limit)\n";
-    }
-    for (size_t i = start; i < result.outputs.size(); ++i) {
-      PrintOutput(out, result.outputs[i]);
-    }
-  }
-  out << "engine:        " << (*policy)->name() << "\n";
-  out << "query:         " << query->ToString() << "\n";
-  const size_t results_count = result.outputs.size();
-  PrintStatsBlock(out, *options, result, (*policy)->stats(),
-                  (*policy)->shard_busy_seconds(), &results_count);
-  MaybeWriteStatsJson(obsv, "run", (*policy)->name(), result,
-                      (*policy)->stats(), (*policy)->shard_busy_seconds(),
-                      results_count, err);
+  cmd.Report(**policy, &result, *options, obsv, out, err);
   return 0;
 }
+
+/// `aseq run`: one query.
+struct RunCommand {
+  using Kind = exec::QueryKind;
+  static constexpr const char* kOwnFlags[] = {
+      "query", "engine", "slack", "limit", "quiet", "emit-on-change"};
+
+  explicit RunCommand(const FlagSet& f) : flags(f) {}
+
+  const FlagSet& flags;
+  EngineSpec spec;
+  std::vector<CompiledQuery> queries;  // exactly one once compiled
+
+  Status ParseFlags() {
+    ASEQ_ASSIGN_OR_RETURN(spec, EngineSpecFromFlags(flags));
+    return Status::OK();
+  }
+  std::string Label() const { return spec.kind; }
+  Status Compile(Schema* schema) {
+    ASEQ_ASSIGN_OR_RETURN(CompiledQuery query, CompileQuery(flags, schema));
+    queries.push_back(std::move(query));
+    return Status::OK();
+  }
+  exec::EngineFactory Factory(const Schema& /*schema*/, std::ostream& /*out*/) {
+    return [this] { return MakeEngine(spec, queries.front()); };
+  }
+
+  void Report(exec::ExecutionPolicy& policy, RunResult* result,
+              const RunOptions& options, const Observability& obsv,
+              std::ostream& out, std::ostream& err) {
+    if (auto* reordering =
+            dynamic_cast<ReorderingEngine*>(policy.serial_engine())) {
+      std::vector<Output> tail;
+      StopWatch watch;
+      reordering->Finish(&tail);
+      result->elapsed_seconds += watch.ElapsedSeconds();
+      result->outputs.insert(result->outputs.end(), tail.begin(), tail.end());
+      if (reordering->dropped_events() > 0) {
+        err << "warning: " << reordering->dropped_events()
+            << " events arrived beyond --slack and were dropped\n";
+      }
+    }
+    if (!flags.GetBool("quiet")) {
+      auto limit_or = flags.GetInt("limit", 20);
+      size_t limit = limit_or.ok() && *limit_or >= 0
+                         ? static_cast<size_t>(*limit_or)
+                         : 20;
+      size_t start = result->outputs.size() > limit
+                         ? result->outputs.size() - limit
+                         : 0;
+      if (start > 0) {
+        out << "... (" << start << " earlier results omitted; --limit)\n";
+      }
+      for (size_t i = start; i < result->outputs.size(); ++i) {
+        PrintOutput(out, result->outputs[i]);
+      }
+    }
+    out << "engine:        " << policy.name() << "\n";
+    out << "query:         " << queries.front().ToString() << "\n";
+    const size_t results_count = result->outputs.size();
+    PrintStatsBlock(out, options, *result, policy.stats(),
+                    policy.shard_busy_seconds(), &results_count);
+    MaybeWriteStatsJson(obsv, "run", policy.name(), *result, policy.stats(),
+                        policy.shard_busy_seconds(), results_count, err);
+  }
+};
 
 int CmdExplain(const FlagSet& flags, std::ostream& out, std::ostream& err) {
   Status known = flags.CheckKnown({"query"});
@@ -839,200 +905,131 @@ int CmdCompare(const FlagSet& flags, std::ostream& out, std::ostream& err) {
   return mismatches == 0 ? 0 : 1;
 }
 
-int CmdWorkload(const FlagSet& flags, std::ostream& out, std::ostream& err) {
-  Status known = flags.CheckKnown(
-      {"queries", "trace", "stock", "clicks", "strategy", "seed", "gap",
-       "batch-size", "shards", "checkpoint-every", "checkpoint-dir",
-       "restore-from", "supervise", "watchdog-timeout-ms", "recovery-every",
-       "max-restarts", "overload-policy", "overload-watermark", "fault-spec",
-       "fault-seed", "pin-threads", "metrics-out", "metrics-every-ms",
-       "trace-out", "stats-json"});
-  if (!known.ok()) {
-    err << known.ToString() << "\n";
-    return 2;
-  }
-  auto options = BatchOptionsFromFlags(flags);
-  if (!options.ok()) {
-    err << options.status().ToString() << "\n";
-    return 1;
-  }
-  std::string restore_from;
-  Status ckpt_flags = CheckpointFlagsInto(flags, &*options, &restore_from);
-  if (!ckpt_flags.ok()) {
-    err << ckpt_flags.ToString() << "\n";
-    return 1;
-  }
-  Status sup_flags = SupervisionFlagsInto(flags, &*options);
-  if (!sup_flags.ok()) {
-    err << sup_flags.ToString() << "\n";
-    return 1;
-  }
-  options->stop_requested = &CliStopFlag();
-  // Telemetry must be in the options BEFORE MakeMultiPolicy: executors
-  // copy RunOptions at construction.
-  Observability obsv;
-  Status obs_flags = SetupObservability(
-      flags, *options, flags.GetString("strategy", "nonshare"), &obsv);
-  if (!obs_flags.ok()) {
-    err << obs_flags.ToString() << "\n";
-    return 1;
-  }
-  options->telemetry = obsv.telemetry.get();
-  std::string path = flags.GetString("queries");
-  if (path.empty()) {
-    err << "InvalidArgument: --queries FILE is required (one query per "
-           "line; # comments)\n";
-    return 1;
-  }
-  std::ifstream in(path);
-  if (!in) {
-    err << "IoError: cannot open queries file: " << path << "\n";
-    return 1;
-  }
-  Schema schema;
-  Analyzer analyzer(&schema);
+/// Upcasts a freshly built sharing engine for the workload factory.
+template <class EngineT>
+Result<std::unique_ptr<MultiQueryEngine>> AsWorkloadEngine(
+    Result<std::unique_ptr<EngineT>> made) {
+  if (!made.ok()) return made.status();
+  return std::unique_ptr<MultiQueryEngine>(std::move(made).value());
+}
+
+/// `aseq workload`: every query of a --queries file over one shared stream.
+struct WorkloadCommand {
+  using Kind = exec::WorkloadKind;
+  static constexpr const char* kOwnFlags[] = {"queries", "strategy"};
+
+  explicit WorkloadCommand(const FlagSet& f) : flags(f) {}
+
+  const FlagSet& flags;
+  std::string strategy;
   std::vector<CompiledQuery> queries;
-  std::string line;
-  size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    std::string_view trimmed = TrimWhitespace(line);
-    if (trimmed.empty() || trimmed[0] == '#') continue;
-    auto cq = analyzer.AnalyzeText(trimmed);
-    if (!cq.ok()) {
-      err << path << ":" << lineno << ": " << cq.status().ToString() << "\n";
-      return 1;
+  /// The factory builds one engine per shard (once, serially); per-strategy
+  /// plan/routing notes print on the first construction only.
+  bool plan_printed = false;
+
+  Status ParseFlags() {
+    strategy = flags.GetString("strategy", "nonshare");
+    for (const char* known : {"nonshare", "sase", "pretree", "cc", "hybrid"}) {
+      if (strategy == known) return Status::OK();
     }
-    queries.push_back(std::move(cq).value());
+    return Status::InvalidArgument(
+        "--strategy must be nonshare|sase|pretree|cc|hybrid");
   }
-  if (queries.empty()) {
-    err << "InvalidArgument: no queries in " << path << "\n";
-    return 1;
-  }
-  auto events = LoadEvents(flags, &schema);
-  if (!events.ok()) {
-    err << events.status().ToString() << "\n";
-    return 1;
+  std::string Label() const { return strategy; }
+
+  /// Reads the --queries file: one query text per line, # comments.
+  Status Compile(Schema* schema) {
+    const std::string path = flags.GetString("queries");
+    if (path.empty()) {
+      return Status::InvalidArgument(
+          "--queries FILE is required (one query per line; # comments)");
+    }
+    std::ifstream in(path);
+    if (!in) return Status::IoError("cannot open queries file: " + path);
+    Analyzer analyzer(schema);
+    std::string line;
+    size_t lineno = 0;
+    while (std::getline(in, line)) {
+      ++lineno;
+      std::string_view trimmed = TrimWhitespace(line);
+      if (trimmed.empty() || trimmed[0] == '#') continue;
+      auto cq = analyzer.AnalyzeText(trimmed);
+      if (!cq.ok()) {
+        return Status(cq.status().code(), path + ":" +
+                                              std::to_string(lineno) + ": " +
+                                              cq.status().message());
+      }
+      queries.push_back(std::move(cq).value());
+    }
+    if (queries.empty()) {
+      return Status::InvalidArgument("no queries in " + path);
+    }
+    return Status::OK();
   }
 
-  std::string strategy = flags.GetString("strategy", "nonshare");
-  // The factory builds one engine per shard (once, serially); per-strategy
-  // plan/routing notes print on the first construction only.
-  bool plan_printed = false;
-  exec::MultiEngineFactory factory;
-  if (strategy == "nonshare") {
-    factory = [&queries]() -> Result<std::unique_ptr<MultiQueryEngine>> {
-      ASEQ_ASSIGN_OR_RETURN(auto e, NonSharedEngine::CreateAseq(queries));
-      return std::unique_ptr<MultiQueryEngine>(std::move(e));
-    };
-  } else if (strategy == "sase") {
-    factory = [&queries]() -> Result<std::unique_ptr<MultiQueryEngine>> {
-      return std::unique_ptr<MultiQueryEngine>(
-          NonSharedEngine::CreateStackBased(queries));
-    };
-  } else if (strategy == "pretree") {
-    factory = [&queries]() -> Result<std::unique_ptr<MultiQueryEngine>> {
-      ASEQ_ASSIGN_OR_RETURN(auto e, PreTreeEngine::Create(queries));
-      return std::unique_ptr<MultiQueryEngine>(std::move(e));
-    };
-  } else if (strategy == "cc") {
-    factory = [&queries, &schema, &out,
-               &plan_printed]() -> Result<std::unique_ptr<MultiQueryEngine>> {
-      ChopPlan plan = PlanChopConnect(queries);
-      if (!plan_printed) {
-        plan_printed = true;
-        out << "plan: " << plan.ToString(schema) << "\n";
-      }
-      ASEQ_ASSIGN_OR_RETURN(auto e, ChopConnectEngine::Create(queries, plan));
-      return std::unique_ptr<MultiQueryEngine>(std::move(e));
-    };
-  } else if (strategy == "hybrid") {
-    factory = [&queries, &out,
-               &plan_printed]() -> Result<std::unique_ptr<MultiQueryEngine>> {
-      ASEQ_ASSIGN_OR_RETURN(auto e, HybridMultiEngine::Create(queries));
-      if (!plan_printed) {
+  exec::MultiEngineFactory Factory(const Schema& schema, std::ostream& out) {
+    if (strategy == "nonshare") {
+      return [this] {
+        return AsWorkloadEngine(NonSharedEngine::CreateAseq(queries));
+      };
+    }
+    if (strategy == "sase") {
+      return [this]() -> Result<std::unique_ptr<MultiQueryEngine>> {
+        return std::unique_ptr<MultiQueryEngine>(
+            NonSharedEngine::CreateStackBased(queries));
+      };
+    }
+    if (strategy == "pretree") {
+      return [this] {
+        return AsWorkloadEngine(PreTreeEngine::Create(queries));
+      };
+    }
+    if (strategy == "cc") {
+      return [this, &schema, &out] {
+        ChopPlan plan = PlanChopConnect(queries);
+        if (!plan_printed) {
+          plan_printed = true;
+          out << "plan: " << plan.ToString(schema) << "\n";
+        }
+        return AsWorkloadEngine(ChopConnectEngine::Create(queries, plan));
+      };
+    }
+    return [this, &out] {  // hybrid
+      auto engine = HybridMultiEngine::Create(queries);
+      if (engine.ok() && !plan_printed) {
         plan_printed = true;
         for (size_t qi = 0; qi < queries.size(); ++qi) {
-          out << "  Q" << (qi + 1) << " -> " << e->routing()[qi] << "\n";
+          out << "  Q" << (qi + 1) << " -> " << (*engine)->routing()[qi]
+              << "\n";
         }
       }
-      return std::unique_ptr<MultiQueryEngine>(std::move(e));
+      return AsWorkloadEngine(std::move(engine));
     };
-  } else {
-    err << "InvalidArgument: --strategy must be "
-           "nonshare|sase|pretree|cc|hybrid\n";
-    return 1;
   }
 
-  // All workload execution goes through a policy: serial for --shards 1
-  // (the default), partition-parallel otherwise. Workloads that cannot
-  // shard fall back to serial with a note.
-  std::string fallback_reason;
-  auto policy = exec::MakeMultiPolicy(queries, factory, *options,
-                                      &fallback_reason);
-  if (!policy.ok()) {
-    err << policy.status().ToString() << "\n";
-    return 1;
-  }
-  if (!fallback_reason.empty()) {
-    err << "note: sharding disabled (" << fallback_reason
-        << "); running serially\n";
-  }
-
-  if (!restore_from.empty()) {
-    uint64_t offset = 0;
-    Status restored = (*policy)->Restore(restore_from, &offset);
-    if (!restored.ok()) {
-      err << restored.ToString() << "\n";
-      return 1;
+  void Report(exec::MultiExecutionPolicy& policy, MultiRunResult* result,
+              const RunOptions& options, const Observability& obsv,
+              std::ostream& out, std::ostream& err) const {
+    std::vector<size_t> per_query(queries.size(), 0);
+    std::vector<Value> last(queries.size());
+    for (const MultiOutput& mo : result->outputs) {
+      ++per_query[mo.query_index];
+      last[mo.query_index] = mo.output.value;
     }
-    if (offset > events->size()) {
-      err << "InvalidArgument: snapshot '" << restore_from
-          << "' was taken at stream offset " << offset
-          << " but this source has only " << events->size() << " events\n";
-      return 1;
+    out << "strategy:      " << policy.name() << "\n";
+    out << "queries:       " << queries.size() << "\n";
+    PrintStatsBlock(out, options, *result, policy.stats(),
+                    policy.shard_busy_seconds(), nullptr);
+    MaybeWriteStatsJson(obsv, "workload", policy.name(), *result,
+                        policy.stats(), policy.shard_busy_seconds(),
+                        result->outputs.size(), err);
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      out << "  Q" << (qi + 1) << ": " << per_query[qi]
+          << " results, last=" << last[qi].ToString() << "  — "
+          << queries[qi].ToString() << "\n";
     }
-    events->erase(events->begin(),
-                  events->begin() + static_cast<ptrdiff_t>(offset));
-    out << "restored from " << restore_from << " at offset " << offset
-        << "; replaying " << events->size() << " remaining events\n";
   }
-  if (obsv.emitter != nullptr) obsv.emitter->Start();
-  MultiRunResult result = (*policy)->RunEvents(*events);
-  obsv.Finish((*policy)->shard_busy_seconds());
-  if (!result.fault_status.ok()) {
-    err << "error: run aborted: " << result.fault_status.ToString() << "\n";
-    return 1;
-  }
-  if (result.interrupted) {
-    out << "interrupted: stop signal received; drained in-flight batches "
-           "after "
-        << result.events << " events\n";
-  }
-  if (!result.checkpoint_status.ok()) {
-    err << "warning: checkpointing stopped: "
-        << result.checkpoint_status.ToString() << "\n";
-  }
-  std::vector<size_t> per_query(queries.size(), 0);
-  std::vector<Value> last(queries.size());
-  for (const MultiOutput& mo : result.outputs) {
-    ++per_query[mo.query_index];
-    last[mo.query_index] = mo.output.value;
-  }
-  out << "strategy:      " << (*policy)->name() << "\n";
-  out << "queries:       " << queries.size() << "\n";
-  PrintStatsBlock(out, *options, result, (*policy)->stats(),
-                  (*policy)->shard_busy_seconds(), nullptr);
-  MaybeWriteStatsJson(obsv, "workload", (*policy)->name(), result,
-                      (*policy)->stats(), (*policy)->shard_busy_seconds(),
-                      result.outputs.size(), err);
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    out << "  Q" << (qi + 1) << ": " << per_query[qi]
-        << " results, last=" << last[qi].ToString() << "  — "
-        << queries[qi].ToString() << "\n";
-  }
-  return 0;
-}
+};
 
 }  // namespace
 
@@ -1053,11 +1050,17 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
         << kPaperCitation << "\n";
     return 0;
   }
-  if (cmd == "run") return CmdRun(*flags, out, err);
+  if (cmd == "run") {
+    RunCommand run{*flags};
+    return DriveRun(run, out, err);
+  }
   if (cmd == "explain") return CmdExplain(*flags, out, err);
   if (cmd == "generate") return CmdGenerate(*flags, out, err);
   if (cmd == "compare") return CmdCompare(*flags, out, err);
-  if (cmd == "workload") return CmdWorkload(*flags, out, err);
+  if (cmd == "workload") {
+    WorkloadCommand workload{*flags};
+    return DriveRun(workload, out, err);
+  }
   err << "unknown command '" << cmd << "'\n" << kUsage;
   return 2;
 }

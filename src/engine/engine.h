@@ -114,9 +114,10 @@ class QueryEngine {
 
 /// \brief Optional capability interface for engines whose grouped state
 /// can be hash-partitioned across independent twin instances (see
-/// exec::ShardedExecutor). Engines opt in by also deriving from this; the
-/// executor discovers support with a dynamic_cast and falls back to serial
-/// execution when the cast fails (wrappers and baselines never shard).
+/// exec::ShardedExecutorT; exec::QueryKind binds this interface). Engines
+/// opt in by also deriving from this; the policy builder discovers support
+/// with a dynamic_cast and falls back to serial execution when the cast
+/// fails (wrappers and baselines never shard).
 ///
 /// A shardable engine promises that events whose GROUP BY key values
 /// differ touch disjoint state *except* for window expiry: a trigger
@@ -147,8 +148,10 @@ struct MultiOutput {
 
 /// \brief Optional capability interface for multi-query engines whose
 /// shared state can be hash-partitioned by a common GROUP BY key across
-/// independent twin instances (the multi-query counterpart of
-/// ShardableEngine; see exec::ShardedExecutor).
+/// independent twin instances. exec::WorkloadKind binds it for the one
+/// sharded executor (exec::ShardedExecutorT), exactly as exec::QueryKind
+/// binds ShardableEngine; the two interfaces stay separate only because
+/// the engine hierarchies are (QueryEngine vs MultiQueryEngine).
 ///
 /// The promise generalizes the single-query one: events whose group key
 /// values differ touch disjoint state, *except* that a trigger event

@@ -20,32 +20,36 @@ void AssignSeqNums(std::vector<Event>* events) {
 }
 
 RunResult BatchRunner::Run(StreamSource* source, QueryEngine* engine) {
-  return exec::RunSerialStream(options_, &buffers_, source, engine);
+  return exec::SerialExecutorT<exec::QueryKind>::RunWith(options_, &buffers_,
+                                                         source, engine);
 }
 
 RunResult BatchRunner::RunEvents(const std::vector<Event>& events,
                                  QueryEngine* engine) {
-  return exec::RunSerialEvents(options_, &buffers_, events, engine);
-}
-
-MultiRunResult BatchRunner::RunMulti(StreamSource* source,
-                                     MultiQueryEngine* engine) {
-  return exec::RunSerialMultiStream(options_, &buffers_, source, engine);
+  return exec::SerialExecutorT<exec::QueryKind>::RunWith(options_, &buffers_,
+                                                         events, engine);
 }
 
 MultiRunResult BatchRunner::RunMultiEvents(const std::vector<Event>& events,
                                            MultiQueryEngine* engine) {
-  return exec::RunSerialMultiEvents(options_, &buffers_, events, engine);
+  return exec::SerialExecutorT<exec::WorkloadKind>::RunWith(
+      options_, &multi_buffers_, events, engine);
 }
 
-RunResult Runtime::Run(StreamSource* source, QueryEngine* engine,
-                       bool collect_outputs) {
-  RunResult result;
-  std::vector<Output> scratch;
+namespace {
+
+/// The per-event reference loop behind every Runtime entry point: `next`
+/// fills the next event (false = exhausted); the loop stamps its seq and
+/// feeds it through OnEvent.
+template <class EngineT, class OutputT, class NextFn>
+BasicRunResult<OutputT> RunPerEvent(EngineT* engine, bool collect_outputs,
+                                    NextFn&& next) {
+  BasicRunResult<OutputT> result;
+  std::vector<OutputT> scratch;
   Event e;
   SeqNum seq = 0;
   StopWatch watch;
-  while (source->Next(&e)) {
+  while (next(&e)) {
     e.set_seq(seq++);
     scratch.clear();
     engine->OnEvent(e, &scratch);
@@ -61,82 +65,40 @@ RunResult Runtime::Run(StreamSource* source, QueryEngine* engine,
   result.elapsed_seconds = watch.ElapsedSeconds();
   result.events = seq;
   return result;
+}
+
+/// Feeds copies of a caller-owned vector (the loop re-stamps each copy).
+auto CopyFrom(const std::vector<Event>& events) {
+  return [&events, pos = size_t{0}](Event* e) mutable {
+    if (pos == events.size()) return false;
+    *e = events[pos++];
+    return true;
+  };
+}
+
+auto PullFrom(StreamSource* source) {
+  return [source](Event* e) { return source->Next(e); };
+}
+
+}  // namespace
+
+RunResult Runtime::Run(StreamSource* source, QueryEngine* engine,
+                       bool collect_outputs) {
+  return RunPerEvent<QueryEngine, Output>(engine, collect_outputs,
+                                          PullFrom(source));
 }
 
 RunResult Runtime::RunEvents(const std::vector<Event>& events,
                              QueryEngine* engine, bool collect_outputs) {
-  RunResult result;
-  std::vector<Output> scratch;
-  StopWatch watch;
-  SeqNum seq = 0;
-  for (const Event& e : events) {
-    Event copy = e;
-    copy.set_seq(seq++);
-    scratch.clear();
-    engine->OnEvent(copy, &scratch);
-    if (collect_outputs) {
-      result.outputs.insert(result.outputs.end(), scratch.begin(),
-                            scratch.end());
-    }
-    if (!engine->status().ok()) {
-      result.fault_status = engine->status();
-      break;
-    }
-  }
-  result.elapsed_seconds = watch.ElapsedSeconds();
-  result.events = seq;
-  return result;
-}
-
-MultiRunResult Runtime::RunMulti(StreamSource* source, MultiQueryEngine* engine,
-                                 bool collect_outputs) {
-  MultiRunResult result;
-  std::vector<MultiOutput> scratch;
-  Event e;
-  SeqNum seq = 0;
-  StopWatch watch;
-  while (source->Next(&e)) {
-    e.set_seq(seq++);
-    scratch.clear();
-    engine->OnEvent(e, &scratch);
-    if (collect_outputs) {
-      result.outputs.insert(result.outputs.end(), scratch.begin(),
-                            scratch.end());
-    }
-    if (!engine->status().ok()) {
-      result.fault_status = engine->status();
-      break;
-    }
-  }
-  result.elapsed_seconds = watch.ElapsedSeconds();
-  result.events = seq;
-  return result;
+  return RunPerEvent<QueryEngine, Output>(engine, collect_outputs,
+                                          CopyFrom(events));
 }
 
 MultiRunResult Runtime::RunMultiEvents(const std::vector<Event>& events,
                                        MultiQueryEngine* engine,
                                        bool collect_outputs) {
-  MultiRunResult result;
-  std::vector<MultiOutput> scratch;
-  StopWatch watch;
-  SeqNum seq = 0;
-  for (const Event& e : events) {
-    Event copy = e;
-    copy.set_seq(seq++);
-    scratch.clear();
-    engine->OnEvent(copy, &scratch);
-    if (collect_outputs) {
-      result.outputs.insert(result.outputs.end(), scratch.begin(),
-                            scratch.end());
-    }
-    if (!engine->status().ok()) {
-      result.fault_status = engine->status();
-      break;
-    }
-  }
-  result.elapsed_seconds = watch.ElapsedSeconds();
-  result.events = seq;
-  return result;
+  return RunPerEvent<MultiQueryEngine, MultiOutput>(engine, collect_outputs,
+                                                    CopyFrom(events));
 }
 
 }  // namespace aseq

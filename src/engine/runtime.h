@@ -54,10 +54,12 @@ struct RunOptions {
   /// call per event).
   size_t batch_size = kDefaultBatchSize;
   /// Number of execution shards (1 = serial). Values > 1 request the
-  /// partition-parallel policy (exec::MakePolicy): events are hash-routed
-  /// by GROUP BY key to per-shard engine twins on worker threads, with
-  /// results and stats merged back byte-identical to the serial run.
-  /// Queries that cannot shard safely fall back to serial execution.
+  /// partition-parallel policy (exec::MakePolicy for one query,
+  /// exec::MakeMultiPolicy for a workload — one policy builder behind
+  /// both): events are hash-routed by GROUP BY key to per-shard engine
+  /// twins on worker threads, with results and stats merged back
+  /// byte-identical to the serial run. A query or workload that cannot
+  /// shard safely falls back to serial execution.
   size_t num_shards = 1;
   /// Checkpoint the engine every N events (0 disables). Snapshots land at
   /// the first batch boundary at or past each multiple of N, named by the
@@ -120,7 +122,7 @@ struct RunOptions {
   obs::Telemetry* telemetry = nullptr;
 };
 
-/// \brief Fields common to every run result (single- and multi-query).
+/// \brief Fields common to every run result, whatever the output type.
 struct RunResultBase {
   uint64_t events = 0;
   /// Wall-clock seconds spent inside the engine (for sharded runs: the
@@ -158,25 +160,25 @@ struct RunResultBase {
   }
 };
 
-/// \brief Result of driving a stream through an engine.
-struct RunResult : RunResultBase {
-  std::vector<Output> outputs;
+/// \brief Result of driving a stream through an engine: the common fields
+/// plus the outputs, scalar `Output` for one query and query-tagged
+/// `MultiOutput` for a workload.
+template <class OutputT>
+struct BasicRunResult : RunResultBase {
+  std::vector<OutputT> outputs;
 };
-
-/// Result of a multi-query run.
-struct MultiRunResult : RunResultBase {
-  std::vector<MultiOutput> outputs;
-};
+using RunResult = BasicRunResult<Output>;
+using MultiRunResult = BasicRunResult<MultiOutput>;
 
 /// \brief Reusable buffers of the serial execution core (refill batch plus
 /// output scratch), owned by the caller and reused clear-not-shrink across
 /// batches and across runs — a harness that loops a run per benchmark
 /// iteration allocates only on the first pass. BatchRunner and
-/// exec::SerialExecutor each own one.
+/// exec::SerialExecutorT each own one per output type they drive.
+template <class OutputT>
 struct SerialBuffers {
   std::vector<Event> batch;
-  std::vector<Output> scratch;
-  std::vector<MultiOutput> multi_scratch;
+  std::vector<OutputT> scratch;
 };
 
 /// Assigns strictly increasing sequence numbers (0, 1, ...) to events in
@@ -185,14 +187,15 @@ struct SerialBuffers {
 void AssignSeqNums(std::vector<Event>* events);
 
 /// \brief Batched pipeline driver: pulls event batches from a source,
-/// assigns sequence numbers, and feeds them to an engine through OnBatch.
+/// assigns sequence numbers, and feeds them to a caller-owned engine
+/// through OnBatch.
 ///
-/// The loops themselves live in the execution layer (exec::RunSerial*);
-/// BatchRunner binds them to a caller-owned engine and its reusable
-/// buffers. Sharded execution (RunOptions::num_shards > 1) needs one
-/// engine per shard and therefore an engine factory — use
-/// exec::MakePolicy; the engine-pointer entry points here always run the
-/// serial policy.
+/// The loop itself is the serial executor's (exec::SerialExecutorT, one
+/// template for a query and a workload); BatchRunner binds it to an
+/// engine pointer and its reusable buffers. Sharded execution
+/// (RunOptions::num_shards > 1) needs one engine per shard and therefore
+/// an engine factory — use exec::MakePolicy / exec::MakeMultiPolicy; the
+/// engine-pointer entry points here always run serially.
 class BatchRunner {
  public:
   BatchRunner() = default;
@@ -209,21 +212,22 @@ class BatchRunner {
   /// (start_offset is 0 unless the run resumes from a snapshot).
   RunResult RunEvents(const std::vector<Event>& events, QueryEngine* engine);
 
-  /// Multi-query variants.
-  MultiRunResult RunMulti(StreamSource* source, MultiQueryEngine* engine);
+  /// Workload variant of RunEvents.
   MultiRunResult RunMultiEvents(const std::vector<Event>& events,
                                 MultiQueryEngine* engine);
 
  private:
   RunOptions options_;
-  SerialBuffers buffers_;
+  SerialBuffers<Output> buffers_;
+  SerialBuffers<MultiOutput> multi_buffers_;
 };
 
 /// \brief Per-event compatibility driver.
 ///
 /// The static methods preserve the original one-event-per-OnEvent shape
 /// (batch size 1 through OnEvent directly, not OnBatch) — tests use them
-/// as the reference path the batched pipeline must match exactly.
+/// as the reference path the batched pipeline must match exactly. All three
+/// share one per-event loop.
 class Runtime {
  public:
   /// Runs the whole source through `engine`; collects outputs if
@@ -237,10 +241,7 @@ class Runtime {
                              QueryEngine* engine,
                              bool collect_outputs = true);
 
-  /// Multi-query variants.
-  static MultiRunResult RunMulti(StreamSource* source,
-                                 MultiQueryEngine* engine,
-                                 bool collect_outputs = true);
+  /// Workload variant of RunEvents.
   static MultiRunResult RunMultiEvents(const std::vector<Event>& events,
                                        MultiQueryEngine* engine,
                                        bool collect_outputs = true);

@@ -1,6 +1,5 @@
 #include "exec/serial_executor.h"
 
-#include <algorithm>
 #include <span>
 #include <utility>
 
@@ -14,32 +13,39 @@ namespace exec {
 
 namespace {
 
+/// Writes one snapshot at `offset` through `save(path, offset)` and
+/// accounts it; a failure is latched in `result->checkpoint_status`.
+template <typename SaveFn>
+void WriteCheckpoint(const RunOptions& options, uint64_t offset,
+                     RunResultBase* result, SaveFn& save) {
+  Status s = save(ckpt::SnapshotPathForOffset(options.checkpoint_dir, offset),
+                  offset);
+  if (!s.ok()) {
+    result->checkpoint_status = std::move(s);
+    return;
+  }
+  ++result->checkpoints_written;
+  if (options.telemetry != nullptr) {
+    options.telemetry->coord().checkpoints.Add(1);
+  }
+  result->last_checkpoint_offset = offset;
+}
+
 /// Writes a snapshot when the stream offset crosses the next checkpoint
-/// threshold. `save` is called with (path, offset); shared between the
-/// single- and multi-query loops. After the first I/O failure the status
-/// is latched and no further snapshots are attempted.
+/// threshold. After the first I/O failure no further snapshots are
+/// attempted.
 template <typename SaveFn>
 void MaybeCheckpoint(const RunOptions& options, uint64_t offset,
-                     uint64_t* next_due, RunResultBase* result, SaveFn&& save) {
+                     uint64_t* next_due, RunResultBase* result, SaveFn& save) {
   if (options.checkpoint_every == 0 || !result->checkpoint_status.ok() ||
       offset < *next_due) {
     return;
   }
-  Status s = save(ckpt::SnapshotPathForOffset(options.checkpoint_dir, offset),
-                  offset);
-  if (s.ok()) {
-    ++result->checkpoints_written;
-    if (options.telemetry != nullptr) {
-      options.telemetry->coord().checkpoints.Add(1);
-    }
-    result->last_checkpoint_offset = offset;
-  } else {
-    result->checkpoint_status = std::move(s);
-  }
+  WriteCheckpoint(options, offset, result, save);
   while (*next_due <= offset) *next_due += options.checkpoint_every;
 }
 
-/// The serial loop, shared across {stream, events} x {single, multi}:
+/// The serial loop, shared by every source shape and engine kind:
 /// `refill` yields the next batch as a mutable view (empty = stream
 /// exhausted); the loop stamps sequence numbers straight into the viewed
 /// events, so a source that lends its own storage (VectorSource) feeds
@@ -104,10 +110,7 @@ ResultT RunSerialLoop(const RunOptions& options, ScratchT* scratch,
       result.fault_status = engine->status();
       break;
     }
-    MaybeCheckpoint(options, seq, &next_ckpt, &result,
-                    [&](const std::string& path, uint64_t offset) {
-                      return save(path, offset);
-                    });
+    MaybeCheckpoint(options, seq, &next_ckpt, &result, save);
   }
   // Graceful stop: write one final snapshot at the current offset so a
   // later --restore-from resumes without replaying anything.
@@ -115,155 +118,78 @@ ResultT RunSerialLoop(const RunOptions& options, ScratchT* scratch,
       result.checkpoint_status.ok() &&
       (result.checkpoints_written == 0 ||
        result.last_checkpoint_offset < seq)) {
-    Status s =
-        save(ckpt::SnapshotPathForOffset(options.checkpoint_dir, seq), seq);
-    if (s.ok()) {
-      ++result.checkpoints_written;
-      if (options.telemetry != nullptr) {
-        options.telemetry->coord().checkpoints.Add(1);
-      }
-      result.last_checkpoint_offset = seq;
-    } else {
-      result.checkpoint_status = std::move(s);
-    }
+    WriteCheckpoint(options, seq, &result, save);
   }
   result.elapsed_seconds = watch.ElapsedSeconds();
   result.events = seq - options.start_offset;
   return result;
 }
 
-/// Refill by borrowing from a StreamSource.
-struct StreamRefill {
-  StreamSource* source;
-  size_t batch_size;
-  std::span<Event> operator()() const {
-    return source->BorrowBatch(batch_size);
-  }
-};
-
-/// Refill by slicing a caller-owned (const) event vector: the slice is
-/// staged through `batch` because the loop stamps sequence numbers.
-struct EventsRefill {
-  const std::vector<Event>* events;
-  std::vector<Event>* batch;
-  size_t batch_size;
-  size_t pos = 0;
-  std::span<Event> operator()() {
-    const size_t n = std::min(batch_size, events->size() - pos);
-    batch->assign(events->begin() + static_cast<ptrdiff_t>(pos),
-                  events->begin() + static_cast<ptrdiff_t>(pos + n));
-    pos += n;
-    return {batch->data(), n};
-  }
-};
+/// The snapshot hook for a serial run: one engine snapshot per due offset.
+template <class EngineT>
+auto SaveTo(const EngineT* engine) {
+  return [engine](const std::string& path, uint64_t offset) {
+    return ckpt::SaveEngineSnapshot(path, *engine, offset);
+  };
+}
 
 }  // namespace
 
-RunResult RunSerialStream(const RunOptions& options, SerialBuffers* buffers,
-                          StreamSource* source, QueryEngine* engine) {
-  return RunSerialLoop<RunResult>(
-      options, &buffers->scratch, engine,
-      StreamRefill{source, options.batch_size},
-      [&](const std::string& path, uint64_t offset) {
-        return ckpt::SaveEngineSnapshot(path, *engine, offset);
-      });
+template <class Kind>
+typename Kind::RunResultT SerialExecutorT<Kind>::RunWith(
+    const RunOptions& options, Buffers* buffers, StreamSource* source,
+    Engine* engine) {
+  return RunSerialLoop<RunResultT>(options, &buffers->scratch, engine,
+                                   StreamRefill{source, options.batch_size},
+                                   SaveTo(engine));
 }
 
-RunResult RunSerialEvents(const RunOptions& options, SerialBuffers* buffers,
-                          const std::vector<Event>& events,
-                          QueryEngine* engine) {
-  return RunSerialLoop<RunResult>(
+template <class Kind>
+typename Kind::RunResultT SerialExecutorT<Kind>::RunWith(
+    const RunOptions& options, Buffers* buffers,
+    const std::vector<Event>& events, Engine* engine) {
+  return RunSerialLoop<RunResultT>(
       options, &buffers->scratch, engine,
       EventsRefill{&events, &buffers->batch, options.batch_size},
-      [&](const std::string& path, uint64_t offset) {
-        return ckpt::SaveEngineSnapshot(path, *engine, offset);
-      });
+      SaveTo(engine));
 }
 
-MultiRunResult RunSerialMultiStream(const RunOptions& options,
-                                    SerialBuffers* buffers,
-                                    StreamSource* source,
-                                    MultiQueryEngine* engine) {
-  return RunSerialLoop<MultiRunResult>(
-      options, &buffers->multi_scratch, engine,
-      StreamRefill{source, options.batch_size},
-      [&](const std::string& path, uint64_t offset) {
-        return ckpt::SaveMultiSnapshot(path, *engine, offset);
-      });
-}
-
-MultiRunResult RunSerialMultiEvents(const RunOptions& options,
-                                    SerialBuffers* buffers,
-                                    const std::vector<Event>& events,
-                                    MultiQueryEngine* engine) {
-  return RunSerialLoop<MultiRunResult>(
-      options, &buffers->multi_scratch, engine,
-      EventsRefill{&events, &buffers->batch, options.batch_size},
-      [&](const std::string& path, uint64_t offset) {
-        return ckpt::SaveMultiSnapshot(path, *engine, offset);
-      });
-}
-
-SerialExecutor::SerialExecutor(const RunOptions& options,
-                               std::unique_ptr<QueryEngine> engine)
+template <class Kind>
+SerialExecutorT<Kind>::SerialExecutorT(const RunOptions& options,
+                                       std::unique_ptr<Engine> engine)
     : options_(options), engine_(std::move(engine)) {
   options_.num_shards = 1;
 }
 
-RunResult SerialExecutor::Run(StreamSource* source) {
-  RunResult result =
-      RunSerialStream(options_, &buffers_, source, engine_.get());
+template <class Kind>
+typename Kind::RunResultT SerialExecutorT<Kind>::Finish(RunResultT result) {
   stats_view_ = engine_->stats();
   busy_seconds_ = result.elapsed_seconds;
   return result;
 }
 
-RunResult SerialExecutor::RunEvents(const std::vector<Event>& events) {
-  RunResult result =
-      RunSerialEvents(options_, &buffers_, events, engine_.get());
-  stats_view_ = engine_->stats();
-  busy_seconds_ = result.elapsed_seconds;
-  return result;
+template <class Kind>
+typename Kind::RunResultT SerialExecutorT<Kind>::Run(StreamSource* source) {
+  return Finish(RunWith(options_, &buffers_, source, engine_.get()));
 }
 
-Status SerialExecutor::Restore(const std::string& path,
-                               uint64_t* stream_offset) {
+template <class Kind>
+typename Kind::RunResultT SerialExecutorT<Kind>::RunEvents(
+    const std::vector<Event>& events) {
+  return Finish(RunWith(options_, &buffers_, events, engine_.get()));
+}
+
+template <class Kind>
+Status SerialExecutorT<Kind>::Restore(const std::string& path,
+                                      uint64_t* stream_offset) {
   ASEQ_RETURN_NOT_OK(
       ckpt::RestoreEngineSnapshot(path, engine_.get(), stream_offset));
   options_.start_offset = *stream_offset;
   return Status::OK();
 }
 
-SerialMultiExecutor::SerialMultiExecutor(
-    const RunOptions& options, std::unique_ptr<MultiQueryEngine> engine)
-    : options_(options), engine_(std::move(engine)) {
-  options_.num_shards = 1;
-}
-
-MultiRunResult SerialMultiExecutor::Run(StreamSource* source) {
-  MultiRunResult result =
-      RunSerialMultiStream(options_, &buffers_, source, engine_.get());
-  stats_view_ = engine_->stats();
-  busy_seconds_ = result.elapsed_seconds;
-  return result;
-}
-
-MultiRunResult SerialMultiExecutor::RunEvents(
-    const std::vector<Event>& events) {
-  MultiRunResult result =
-      RunSerialMultiEvents(options_, &buffers_, events, engine_.get());
-  stats_view_ = engine_->stats();
-  busy_seconds_ = result.elapsed_seconds;
-  return result;
-}
-
-Status SerialMultiExecutor::Restore(const std::string& path,
-                                    uint64_t* stream_offset) {
-  ASEQ_RETURN_NOT_OK(
-      ckpt::RestoreMultiSnapshot(path, engine_.get(), stream_offset));
-  options_.start_offset = *stream_offset;
-  return Status::OK();
-}
+template class SerialExecutorT<QueryKind>;
+template class SerialExecutorT<WorkloadKind>;
 
 }  // namespace exec
 }  // namespace aseq

@@ -1,52 +1,76 @@
 #ifndef ASEQ_EXEC_SERIAL_EXECUTOR_H_
 #define ASEQ_EXEC_SERIAL_EXECUTOR_H_
 
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "exec/execution_policy.h"
-#include "exec/multi_execution_policy.h"
 
 namespace aseq {
 namespace exec {
 
-// ---- The serial execution core, extracted from BatchRunner. ----
-//
-// These free functions are the one implementation of the batched serial
-// loop: refill `buffers->batch` from the source (or a slice of the event
-// vector), assign sequence numbers, feed OnBatch, collect outputs, and
-// checkpoint at due batch boundaries. BatchRunner and SerialExecutor both
-// delegate here, so the engine-pointer API and the policy API can never
-// drift apart. All buffers are reused clear-not-shrink.
+/// Batch refills shared by the serial and sharded executors: each call
+/// yields the next batch as a mutable view (empty = exhausted), which the
+/// run loop stamps with sequence numbers in place.
+///
+/// Refill by borrowing from a StreamSource.
+struct StreamRefill {
+  StreamSource* source;
+  size_t batch_size;
+  std::span<Event> operator()() const {
+    return source->BorrowBatch(batch_size);
+  }
+};
 
-RunResult RunSerialStream(const RunOptions& options, SerialBuffers* buffers,
-                          StreamSource* source, QueryEngine* engine);
-RunResult RunSerialEvents(const RunOptions& options, SerialBuffers* buffers,
-                          const std::vector<Event>& events,
-                          QueryEngine* engine);
-MultiRunResult RunSerialMultiStream(const RunOptions& options,
-                                    SerialBuffers* buffers,
-                                    StreamSource* source,
-                                    MultiQueryEngine* engine);
-MultiRunResult RunSerialMultiEvents(const RunOptions& options,
-                                    SerialBuffers* buffers,
-                                    const std::vector<Event>& events,
-                                    MultiQueryEngine* engine);
+/// Refill by slicing a caller-owned (const) event vector: the slice is
+/// staged through `batch` because the loop stamps sequence numbers.
+struct EventsRefill {
+  const std::vector<Event>* events;
+  std::vector<Event>* batch;
+  size_t batch_size;
+  size_t pos = 0;
+  std::span<Event> operator()() {
+    const size_t n = std::min(batch_size, events->size() - pos);
+    batch->assign(events->begin() + static_cast<ptrdiff_t>(pos),
+                  events->begin() + static_cast<ptrdiff_t>(pos + n));
+    pos += n;
+    return {batch->data(), n};
+  }
+};
 
-/// \brief The single-threaded policy: owns one engine and drives it on the
-/// calling thread through the serial core — exactly the pre-policy
-/// BatchRunner behavior.
-class SerialExecutor : public ExecutionPolicy {
+/// \brief The single-threaded policy: owns one engine (of either kind) and
+/// drives it on the calling thread through the serial core.
+///
+/// The serial core is one batched loop: refill `buffers->batch` from the
+/// source (or a slice of the event vector), assign sequence numbers, feed
+/// OnBatch, collect outputs, and checkpoint at due batch boundaries. The
+/// static RunWith entry points run it on a caller-owned engine (that is
+/// BatchRunner); Run/RunEvents run it on the owned engine, so the
+/// engine-pointer API and the policy API can never drift apart. All
+/// buffers are reused clear-not-shrink. Instantiated for QueryKind and
+/// WorkloadKind.
+template <class Kind>
+class SerialExecutorT final : public ExecutionPolicyT<Kind> {
  public:
-  SerialExecutor(const RunOptions& options,
-                 std::unique_ptr<QueryEngine> engine);
+  using Engine = typename Kind::Engine;
+  using RunResultT = typename Kind::RunResultT;
+  using Buffers = SerialBuffers<typename Kind::OutputT>;
+
+  SerialExecutorT(const RunOptions& options, std::unique_ptr<Engine> engine);
+
+  static RunResultT RunWith(const RunOptions& options, Buffers* buffers,
+                            StreamSource* source, Engine* engine);
+  static RunResultT RunWith(const RunOptions& options, Buffers* buffers,
+                            const std::vector<Event>& events, Engine* engine);
 
   std::string name() const override { return engine_->name(); }
   size_t num_shards() const override { return 1; }
 
-  RunResult Run(StreamSource* source) override;
-  RunResult RunEvents(const std::vector<Event>& events) override;
+  RunResultT Run(StreamSource* source) override;
+  RunResultT RunEvents(const std::vector<Event>& events) override;
 
   const EngineStats& stats() const override { return engine_->stats(); }
   std::span<const EngineStats> shard_stats() const override {
@@ -58,49 +82,21 @@ class SerialExecutor : public ExecutionPolicy {
 
   Status Restore(const std::string& path, uint64_t* stream_offset) override;
 
-  QueryEngine* serial_engine() override { return engine_.get(); }
+  Engine* serial_engine() override { return engine_.get(); }
 
  private:
+  /// Refreshes the per-run views after a run.
+  RunResultT Finish(RunResultT result);
+
   RunOptions options_;
-  std::unique_ptr<QueryEngine> engine_;
-  SerialBuffers buffers_;
+  std::unique_ptr<Engine> engine_;
+  Buffers buffers_;
   EngineStats stats_view_;   // snapshot of engine stats after the last run
   double busy_seconds_ = 0;  // == elapsed_seconds of the last run
 };
 
-/// \brief The single-threaded multi-query policy: owns one multi-query
-/// engine and drives it on the calling thread through the serial core —
-/// exactly BatchRunner::RunMulti behavior.
-class SerialMultiExecutor : public MultiExecutionPolicy {
- public:
-  SerialMultiExecutor(const RunOptions& options,
-                      std::unique_ptr<MultiQueryEngine> engine);
-
-  std::string name() const override { return engine_->name(); }
-  size_t num_shards() const override { return 1; }
-
-  MultiRunResult Run(StreamSource* source) override;
-  MultiRunResult RunEvents(const std::vector<Event>& events) override;
-
-  const EngineStats& stats() const override { return engine_->stats(); }
-  std::span<const EngineStats> shard_stats() const override {
-    return {&stats_view_, 1};
-  }
-  std::span<const double> shard_busy_seconds() const override {
-    return {&busy_seconds_, 1};
-  }
-
-  Status Restore(const std::string& path, uint64_t* stream_offset) override;
-
-  MultiQueryEngine* serial_engine() override { return engine_.get(); }
-
- private:
-  RunOptions options_;
-  std::unique_ptr<MultiQueryEngine> engine_;
-  SerialBuffers buffers_;
-  EngineStats stats_view_;   // snapshot of engine stats after the last run
-  double busy_seconds_ = 0;  // == elapsed_seconds of the last run
-};
+extern template class SerialExecutorT<QueryKind>;
+extern template class SerialExecutorT<WorkloadKind>;
 
 }  // namespace exec
 }  // namespace aseq

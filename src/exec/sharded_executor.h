@@ -1,88 +1,19 @@
 #ifndef ASEQ_EXEC_SHARDED_EXECUTOR_H_
 #define ASEQ_EXEC_SHARDED_EXECUTOR_H_
 
-#include <utility>
-
 #include "exec/execution_policy.h"
-#include "exec/multi_execution_policy.h"
 #include "exec/shard_router.h"
 #include "exec/sharded_executor_impl.h"
 
 namespace aseq {
 namespace exec {
 
-/// Trait bindings for the single-query sharded executor: one CompiledQuery,
-/// ShardableEngine twins, scalar Output, ShardRouter. A route triggers when
-/// the query's last positive role matched; markers carry no payload (the
-/// purge covers the whole engine).
-struct SingleShardTraits {
-  using Policy = ExecutionPolicy;
-  using Engine = QueryEngine;
-  using Shardable = ShardableEngine;
-  using OutputT = Output;
-  using RunResultT = RunResult;
-  using RouterT = ShardRouter;
-  using FactoryT = EngineFactory;
-
-  static SeqNum OutputSeq(const OutputT& o) { return o.seq; }
-  static bool IsTrigger(const RouterT::Route& route) { return route.trigger; }
-  static void StampMarker(const RouterT::Route& route, ShardOp* op) {
-    (void)route;
-    (void)op;  // single-query markers carry no per-query payload
-  }
-  static void SyncPurge(Shardable* shardable, const ShardOp& op) {
-    shardable->SyncPurgeTo(op.ts);
-  }
-  /// Single-query engines count objects at add/remove granularity, so
-  /// their mid-event peaks are real serial observations.
-  static bool BoundaryObjects(const Shardable* shardable) {
-    (void)shardable;
-    return false;
-  }
-};
-
-/// Trait bindings for the multi-query (workload) sharded executor:
-/// MultiShardableEngine twins over the whole workload, query-tagged
-/// MultiOutput, MultiShardRouter. A route triggers when any windowed query
-/// completed; the marker carries which ones, so engines with per-query
-/// clocks purge exactly the serial set.
-struct MultiShardTraits {
-  using Policy = MultiExecutionPolicy;
-  using Engine = MultiQueryEngine;
-  using Shardable = MultiShardableEngine;
-  using OutputT = MultiOutput;
-  using RunResultT = MultiRunResult;
-  using RouterT = MultiShardRouter;
-  using FactoryT = MultiEngineFactory;
-
-  static SeqNum OutputSeq(const OutputT& o) { return o.output.seq; }
-  static bool IsTrigger(const RouterT::Route& route) {
-    return !route.trigger_queries.empty();
-  }
-  static void StampMarker(const RouterT::Route& route, ShardOp* op) {
-    op->trigger_queries = route.trigger_queries;
-  }
-  static void SyncPurge(Shardable* shardable, const ShardOp& op) {
-    shardable->SyncPurgeTo(op.ts, op.trigger_queries);
-  }
-  /// Wrapper engines (NonShare, Hybrid) sample the combined sub-engine
-  /// total once per event, so their window_peak is not a serial
-  /// observation — merge boundary totals only.
-  static bool BoundaryObjects(const Shardable* shardable) {
-    return shardable->objects_sampled_at_boundaries();
-  }
-};
-
-/// The single-query partition-parallel policy (docs/internals.md §13).
-using ShardedExecutor = ShardedExecutorT<SingleShardTraits>;
-
-/// The multi-query partition-parallel policy: the same executor over a
-/// shared GROUP BY attribute, one engine-twin set for the whole workload
-/// (docs/internals.md §15).
-using MultiShardedExecutor = ShardedExecutorT<MultiShardTraits>;
-
-extern template class ShardedExecutorT<SingleShardTraits>;
-extern template class ShardedExecutorT<MultiShardTraits>;
+// The partition-parallel policy for one query (docs/internals.md §11) and
+// for a workload sharing a GROUP BY attribute (§15): one executor, bound
+// to an engine kind. These are its only two instantiations, compiled once
+// in sharded_executor.cc.
+extern template class ShardedExecutorT<QueryKind>;
+extern template class ShardedExecutorT<WorkloadKind>;
 
 }  // namespace exec
 }  // namespace aseq

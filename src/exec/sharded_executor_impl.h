@@ -26,6 +26,9 @@
 
 #include "ckpt/snapshot.h"
 #include "engine/runtime.h"
+#include "exec/execution_policy.h"
+#include "exec/serial_executor.h"
+#include "exec/shard_router.h"
 #include "exec/spsc_ring.h"
 #include "fault/fault.h"
 #include "metrics/shard_stats.h"
@@ -65,36 +68,25 @@ inline constexpr uint64_t kNeverDue = std::numeric_limits<uint64_t>::max();
 
 /// One unit of shard work: an event for the owner shard, or a purge marker
 /// replaying a trigger's cross-partition purge on a non-owner shard.
-/// Shared between the single- and multi-query executor instantiations;
-/// `trigger_queries` is meaningful for multi-query markers only (which
-/// workload queries the trigger completed) and stays empty otherwise.
+/// `trigger_queries` is filled only for kinds whose markers name queries
+/// (Kind::kMarkerNamesQueries: which workload queries the trigger
+/// completed) and stays empty otherwise.
 struct ShardOp {
   enum class Kind : uint8_t { kEvent, kPurgeMarker };
   Kind kind = Kind::kEvent;
   Timestamp ts = 0;
   SeqNum seq = 0;
   Event event;  // meaningful for kEvent only
-  std::vector<size_t> trigger_queries;  // meaningful for multi markers only
+  std::vector<size_t> trigger_queries;  // see Kind::kMarkerNamesQueries
 };
 
-/// \brief The partition-parallel policy, generic over single- vs
-/// multi-query execution: N engine twins, each owning the partitions whose
-/// GROUP BY key hashes to it, pumped by one worker thread over a bounded
-/// per-shard SPSC ring.
-///
-/// `Traits` binds the two instantiations (see exec/sharded_executor.h):
-///   - Policy        the policy interface implemented
-///                   (ExecutionPolicy / MultiExecutionPolicy)
-///   - Engine        QueryEngine / MultiQueryEngine
-///   - Shardable     ShardableEngine / MultiShardableEngine
-///   - OutputT       Output / MultiOutput
-///   - RunResultT    RunResult / MultiRunResult
-///   - RouterT       ShardRouter / MultiShardRouter
-///   - FactoryT      EngineFactory / MultiEngineFactory
-///   - OutputSeq     the output's global event seq (merge key)
-///   - IsTrigger     whether a route completes any (windowed) query
-///   - StampMarker   copies the route's trigger payload into a marker op
-///   - SyncPurge     applies a marker through the shardable interface
+/// \brief The partition-parallel policy for either engine kind (one query
+/// or a workload; exec/execution_policy.h): N engine twins, each owning
+/// the partitions whose GROUP BY key hashes to it, pumped by one worker
+/// thread over a bounded per-shard SPSC ring. One ShardRouter serves both
+/// kinds; `Kind` binds the engine, shardable and output types, the
+/// output's merge key, the marker payload and purge call, and the
+/// boundary-objects rule.
 ///
 /// The dataplane (docs/internals.md §16): each lane's queue is a
 /// fixed-capacity single-producer/single-consumer ring (exec/spsc_ring.h)
@@ -112,15 +104,16 @@ struct ShardOp {
 ///
 /// Serial equivalence, piece by piece:
 ///  - Routing: events go to hash(GROUP BY key) % N — all partitions a
-///    trigger reads share that key (PlanSharding / PlanMultiSharding
-///    guarantees it), so every output is computed from exactly the state
-///    the serial engine would read.
+///    trigger reads share that key (Kind::PlanSharding guarantees it), so
+///    every output is computed from exactly the state the serial engine
+///    would read.
 ///  - Purge markers: a serial trigger purges expired state across every
 ///    partition (of the triggered queries, for a workload). The router
-///    detects triggers with the engines' own admission programs and
-///    enqueues a purge marker, in seq order, to every non-owner shard;
-///    SyncPurgeTo applies exactly the serial cross-partition purge.
-///    Unbounded queries skip markers (nothing ever expires).
+///    detects triggers of windowed queries with the engines' own admission
+///    programs and the coordinator enqueues a purge marker, in seq order,
+///    to every non-owner shard; SyncPurgeTo applies exactly the serial
+///    cross-partition purge. Unbounded queries skip markers (nothing ever
+///    expires).
 ///  - Outputs: each event's outputs come from exactly one shard, tagged
 ///    with the event's global seq; a k-way merge by seq restores the
 ///    serial order byte-identical.
@@ -153,15 +146,14 @@ struct ShardOp {
 /// default), drains every queue before routing on (kDegradeSerial), or
 /// deterministically sheds the overloaded event's whole partition (kShed,
 /// accounted in shed_* counters; surviving partitions stay exact).
-template <class Traits>
-class ShardedExecutorT : public Traits::Policy {
+template <class Kind>
+class ShardedExecutorT : public ExecutionPolicyT<Kind> {
  public:
-  using Engine = typename Traits::Engine;
-  using Shardable = typename Traits::Shardable;
-  using OutputT = typename Traits::OutputT;
-  using RunResultT = typename Traits::RunResultT;
-  using RouterT = typename Traits::RouterT;
-  using FactoryT = typename Traits::FactoryT;
+  using Engine = typename Kind::Engine;
+  using Shardable = typename Kind::Shardable;
+  using OutputT = typename Kind::OutputT;
+  using RunResultT = typename Kind::RunResultT;
+  using FactoryT = EngineFactoryT<Engine>;
 
   /// `engines` must all be freshly constructed twins for the workload,
   /// each implementing `Shardable` (the policy factory guarantees both).
@@ -170,7 +162,7 @@ class ShardedExecutorT : public Traits::Policy {
   /// a twin after a supervised restart; supervision requires it.
   ShardedExecutorT(const RunOptions& options,
                    std::vector<std::unique_ptr<Engine>> engines,
-                   RouterT router, bool send_markers, FactoryT factory);
+                   ShardRouter router, bool send_markers, FactoryT factory);
   ~ShardedExecutorT() override = default;
 
   std::string name() const override {
@@ -384,7 +376,7 @@ class ShardedExecutorT : public Traits::Policy {
   std::vector<std::unique_ptr<Engine>> engines_;
   std::vector<Shardable*> shardables_;
   FactoryT factory_;
-  RouterT router_;
+  ShardRouter router_;
   bool send_markers_;  // false when nothing ever expires
 
   std::vector<std::unique_ptr<Lane>> lanes_;
@@ -415,10 +407,10 @@ class ShardedExecutorT : public Traits::Policy {
   std::vector<double> busy_view_;
 };
 
-template <class Traits>
-ShardedExecutorT<Traits>::ShardedExecutorT(
+template <class Kind>
+ShardedExecutorT<Kind>::ShardedExecutorT(
     const RunOptions& options, std::vector<std::unique_ptr<Engine>> engines,
-    RouterT router, bool send_markers, FactoryT factory)
+    ShardRouter router, bool send_markers, FactoryT factory)
     : options_(options),
       engines_(std::move(engines)),
       factory_(std::move(factory)),
@@ -427,7 +419,7 @@ ShardedExecutorT<Traits>::ShardedExecutorT(
   assert(engines_.size() > 1);
   options_.num_shards = engines_.size();
   for (auto& e : engines_) {
-    auto* shardable = dynamic_cast<Shardable*>(e.get());
+    Shardable* shardable = Kind::AsShardable(e.get());
     assert(shardable != nullptr &&
            "ShardedExecutorT requires shardable engine twins (the policy "
            "factory enforces this)");
@@ -442,13 +434,13 @@ ShardedExecutorT<Traits>::ShardedExecutorT(
   busy_view_.resize(engines_.size(), 0);
 }
 
-template <class Traits>
-void ShardedExecutorT<Traits>::WorkerMain(size_t shard) {
+template <class Kind>
+void ShardedExecutorT<Kind>::WorkerMain(size_t shard) {
   Lane& lane = *lanes_[shard];
   Engine* engine = engines_[shard].get();
   Shardable* shardable = shardables_[shard];
   EngineStats* stats = shardable->shard_mutable_stats();
-  const bool boundary_objects = Traits::BoundaryObjects(shardable);
+  const bool boundary_objects = Kind::BoundaryObjects(shardable);
   const bool supervised = options_.supervise;
   const bool check_faults = fault::Injector::Global().armed();
   // Telemetry cell for this shard (null = off). The worker is the cell's
@@ -589,7 +581,7 @@ void ShardedExecutorT<Traits>::WorkerMain(size_t shard) {
                               lane.scratch.end());
         }
       } else {
-        Traits::SyncPurge(shardable, op);
+        Kind::SyncPurge(shardable, op.ts, op.trigger_queries);
       }
       const int64_t after = objects.current();
       int64_t window_peak = objects.window_peak();
@@ -638,8 +630,8 @@ void ShardedExecutorT<Traits>::WorkerMain(size_t shard) {
   }
 }
 
-template <class Traits>
-bool ShardedExecutorT<Traits>::Enqueue(size_t shard, LaneItem item) {
+template <class Kind>
+bool ShardedExecutorT<Kind>::Enqueue(size_t shard, LaneItem item) {
   Lane& lane = *lanes_[shard];
   if (lane.ring.TryPush(item)) {
     WakeConsumer(lane);
@@ -671,9 +663,9 @@ bool ShardedExecutorT<Traits>::Enqueue(size_t shard, LaneItem item) {
   }
 }
 
-template <class Traits>
-Status ShardedExecutorT<Traits>::EnqueueSupervised(size_t shard,
-                                                   LaneItem item) {
+template <class Kind>
+Status ShardedExecutorT<Kind>::EnqueueSupervised(size_t shard,
+                                                 LaneItem item) {
   Lane& lane = *lanes_[shard];
   for (;;) {
     if (!lane.dead.load(std::memory_order_acquire) &&
@@ -697,10 +689,10 @@ Status ShardedExecutorT<Traits>::EnqueueSupervised(size_t shard,
   }
 }
 
-template <class Traits>
-Status ShardedExecutorT<Traits>::FlushPending(size_t shard,
-                                              uint64_t publish_ns,
-                                              bool sample_occupancy) {
+template <class Kind>
+Status ShardedExecutorT<Kind>::FlushPending(size_t shard,
+                                            uint64_t publish_ns,
+                                            bool sample_occupancy) {
   if (pending_[shard].empty()) return Status::OK();
   Lane& lane = *lanes_[shard];
   ++rcounters_.pub_batches;
@@ -761,8 +753,8 @@ Status ShardedExecutorT<Traits>::FlushPending(size_t shard,
   return Status::OK();
 }
 
-template <class Traits>
-bool ShardedExecutorT<Traits>::BarrierAll() {
+template <class Kind>
+bool ShardedExecutorT<Kind>::BarrierAll() {
   const uint64_t barrier_begin =
       options_.telemetry != nullptr ? obs::MonotonicNanos() : 0;
   {
@@ -792,8 +784,8 @@ bool ShardedExecutorT<Traits>::BarrierAll() {
   return true;
 }
 
-template <class Traits>
-void ShardedExecutorT<Traits>::RecordBarrier(uint64_t barrier_begin) {
+template <class Kind>
+void ShardedExecutorT<Kind>::RecordBarrier(uint64_t barrier_begin) {
   if (options_.telemetry == nullptr) return;
   const uint64_t end = obs::MonotonicNanos();
   obs::CoordCell& cc = options_.telemetry->coord();
@@ -806,8 +798,8 @@ void ShardedExecutorT<Traits>::RecordBarrier(uint64_t barrier_begin) {
   }
 }
 
-template <class Traits>
-Status ShardedExecutorT<Traits>::BarrierAllSupervised() {
+template <class Kind>
+Status ShardedExecutorT<Kind>::BarrierAllSupervised() {
   const uint64_t barrier_begin =
       options_.telemetry != nullptr ? obs::MonotonicNanos() : 0;
   const size_t n = lanes_.size();
@@ -845,8 +837,8 @@ Status ShardedExecutorT<Traits>::BarrierAllSupervised() {
   return Status::OK();
 }
 
-template <class Traits>
-void ShardedExecutorT<Traits>::ResumeAll() {
+template <class Kind>
+void ShardedExecutorT<Kind>::ResumeAll() {
   {
     std::lock_guard<std::mutex> lk(coord_mu_);
     ++barrier_epoch_;
@@ -854,8 +846,8 @@ void ShardedExecutorT<Traits>::ResumeAll() {
   coord_cv_.notify_all();
 }
 
-template <class Traits>
-void ShardedExecutorT<Traits>::DrainMerger() {
+template <class Kind>
+void ShardedExecutorT<Kind>::DrainMerger() {
   std::vector<std::span<const StatsTimelineMerger::Record>> spans;
   spans.reserve(lanes_.size());
   for (auto& lane : lanes_) {
@@ -867,8 +859,8 @@ void ShardedExecutorT<Traits>::DrainMerger() {
   for (auto& lane : lanes_) lane->records_consumed = lane->records.size();
 }
 
-template <class Traits>
-EngineStats ShardedExecutorT<Traits>::ComputeMergedStats() const {
+template <class Kind>
+EngineStats ShardedExecutorT<Kind>::ComputeMergedStats() const {
   EngineStats merged;
   for (const auto& e : engines_) MergeBulkStats(e->stats(), &merged);
   merged.objects.RestoreCounts(merger_.merged_current(),
@@ -876,8 +868,8 @@ EngineStats ShardedExecutorT<Traits>::ComputeMergedStats() const {
   return merged;
 }
 
-template <class Traits>
-Status ShardedExecutorT<Traits>::SaveSnapshotAt(uint64_t seq) {
+template <class Kind>
+Status ShardedExecutorT<Kind>::SaveSnapshotAt(uint64_t seq) {
   const EngineStats merged_now = ComputeMergedStats();
   std::vector<const Engine*> shards;
   shards.reserve(engines_.size());
@@ -887,13 +879,13 @@ Status ShardedExecutorT<Traits>::SaveSnapshotAt(uint64_t seq) {
   // interner table is captured consistently with shard state.
   ckpt::Writer router_state;
   router_.Checkpoint(&router_state);
-  return ckpt::SaveShardedSnapshot(
+  return ckpt::SaveShardedSnapshot<Engine>(
       ckpt::SnapshotPathForOffset(options_.checkpoint_dir, seq), shards, seq,
       merged_now, router_state.buffer());
 }
 
-template <class Traits>
-void ShardedExecutorT<Traits>::PinWorker(size_t shard) {
+template <class Kind>
+void ShardedExecutorT<Kind>::PinWorker(size_t shard) {
   if (!options_.pin_threads) return;
 #if defined(__linux__)
   const unsigned cores = std::thread::hardware_concurrency();
@@ -928,8 +920,8 @@ void ShardedExecutorT<Traits>::PinWorker(size_t shard) {
 #endif
 }
 
-template <class Traits>
-bool ShardedExecutorT<Traits>::LaneFailed(size_t shard) {
+template <class Kind>
+bool ShardedExecutorT<Kind>::LaneFailed(size_t shard) {
   Lane& lane = *lanes_[shard];
   if (lane.dead.load(std::memory_order_acquire)) return true;
   const uint64_t p = lane.progress.load(std::memory_order_relaxed);
@@ -946,8 +938,8 @@ bool ShardedExecutorT<Traits>::LaneFailed(size_t shard) {
              .count() > options_.watchdog_timeout_ms;
 }
 
-template <class Traits>
-Status ShardedExecutorT<Traits>::CheckLanes() {
+template <class Kind>
+Status ShardedExecutorT<Kind>::CheckLanes() {
   for (size_t s = 0; s < lanes_.size(); ++s) {
     if (LaneFailed(s)) {
       ASEQ_RETURN_NOT_OK(RestartShard(s));
@@ -956,8 +948,8 @@ Status ShardedExecutorT<Traits>::CheckLanes() {
   return Status::OK();
 }
 
-template <class Traits>
-Status ShardedExecutorT<Traits>::RestartShard(size_t shard) {
+template <class Kind>
+Status ShardedExecutorT<Kind>::RestartShard(size_t shard) {
   Lane& lane = *lanes_[shard];
   obs::TraceWriter* const trace = options_.telemetry != nullptr
                                       ? options_.telemetry->trace()
@@ -1016,10 +1008,10 @@ Status ShardedExecutorT<Traits>::RestartShard(size_t shard) {
   if (!factory_) {
     return Status::Internal(
         "supervised restart requires an engine factory (construct the "
-        "executor through exec::MakePolicy / exec::MakeMultiPolicy)");
+        "executor through exec::MakePolicyT)");
   }
   ASEQ_ASSIGN_OR_RETURN(std::unique_ptr<Engine> fresh, factory_());
-  auto* shardable = dynamic_cast<Shardable*>(fresh.get());
+  Shardable* shardable = Kind::AsShardable(fresh.get());
   if (shardable == nullptr) {
     return Status::Internal(
         "engine factory stopped producing shardable engines during a "
@@ -1036,7 +1028,7 @@ Status ShardedExecutorT<Traits>::RestartShard(size_t shard) {
   lane.last_progress = lane.progress.load(std::memory_order_relaxed);
   lane.last_change = std::chrono::steady_clock::now();
   workers_[shard] =
-      std::thread(&ShardedExecutorT<Traits>::WorkerMain, this, shard);
+      std::thread(&ShardedExecutorT<Kind>::WorkerMain, this, shard);
   PinWorker(shard);
   if (trace != nullptr) {
     trace->Instant("restart", obs::TraceWriter::kCoordTid,
@@ -1110,8 +1102,8 @@ Status ShardedExecutorT<Traits>::RestartShard(size_t shard) {
   return Status::OK();
 }
 
-template <class Traits>
-Status ShardedExecutorT<Traits>::CaptureRecoveryPoints() {
+template <class Kind>
+Status ShardedExecutorT<Kind>::CaptureRecoveryPoints() {
   for (size_t s = 0; s < engines_.size(); ++s) {
     Lane& lane = *lanes_[s];
     ckpt::Writer writer;
@@ -1125,8 +1117,8 @@ Status ShardedExecutorT<Traits>::CaptureRecoveryPoints() {
   return Status::OK();
 }
 
-template <class Traits>
-Status ShardedExecutorT<Traits>::DrainAllQueues() {
+template <class Kind>
+Status ShardedExecutorT<Kind>::DrainAllQueues() {
   for (;;) {
     bool drained = true;
     for (size_t s = 0; s < lanes_.size(); ++s) {
@@ -1150,8 +1142,8 @@ Status ShardedExecutorT<Traits>::DrainAllQueues() {
   }
 }
 
-template <class Traits>
-void ShardedExecutorT<Traits>::StopWorkers() {
+template <class Kind>
+void ShardedExecutorT<Kind>::StopWorkers() {
   bool quarantine_teardown = options_.supervise || stop_stalled_;
   if (!quarantine_teardown) {
     for (size_t s = 0; s < lanes_.size(); ++s) {
@@ -1188,8 +1180,8 @@ void ShardedExecutorT<Traits>::StopWorkers() {
   workers_.clear();
 }
 
-template <class Traits>
-typename Traits::RunResultT ShardedExecutorT<Traits>::RunImpl(
+template <class Kind>
+typename Kind::RunResultT ShardedExecutorT<Kind>::RunImpl(
     const std::function<std::span<Event>()>& refill) {
   const size_t n = engines_.size();
   const bool supervised = options_.supervise;
@@ -1255,7 +1247,7 @@ typename Traits::RunResultT ShardedExecutorT<Traits>::RunImpl(
   StopWatch watch;
   workers_.reserve(n);
   for (size_t s = 0; s < n; ++s) {
-    workers_.emplace_back(&ShardedExecutorT<Traits>::WorkerMain, this, s);
+    workers_.emplace_back(&ShardedExecutorT<Kind>::WorkerMain, this, s);
     PinWorker(s);
   }
 
@@ -1338,14 +1330,16 @@ typename Traits::RunResultT ShardedExecutorT<Traits>::RunImpl(
         lanes_[route.shard]->replay_log.push_back(
             ShardOp{ShardOp::Kind::kEvent, ts, eseq, e, {}});
       }
-      if (send_markers_ && Traits::IsTrigger(route)) {
+      if (send_markers_ && !route.trigger_queries.empty()) {
         // The serial trigger purges every partition (of each triggered
         // query); non-owner shards replay it as a marker at the same seq,
         // keeping their state and object counts in lockstep.
         for (size_t s = 0; s < n; ++s) {
           if (s == route.shard) continue;
           ShardOp marker{ShardOp::Kind::kPurgeMarker, ts, eseq, Event(), {}};
-          Traits::StampMarker(route, &marker);
+          if constexpr (Kind::kMarkerNamesQueries) {
+            marker.trigger_queries = route.trigger_queries;
+          }
           if (supervised) {
             lanes_[s]->replay_log.push_back(marker);
           }
@@ -1519,8 +1513,8 @@ typename Traits::RunResultT ShardedExecutorT<Traits>::RunImpl(
       for (size_t s = 0; s < n; ++s) {
         const auto& outs = lanes_[s]->outputs;
         if (cursor[s] < outs.size() &&
-            Traits::OutputSeq(outs[cursor[s]]) < best_seq) {
-          best_seq = Traits::OutputSeq(outs[cursor[s]]);
+            Kind::OutputSeq(outs[cursor[s]]) < best_seq) {
+          best_seq = Kind::OutputSeq(outs[cursor[s]]);
           best = s;
         }
       }
@@ -1528,7 +1522,7 @@ typename Traits::RunResultT ShardedExecutorT<Traits>::RunImpl(
       // One event's outputs all come from its owner shard, in order.
       auto& outs = lanes_[best]->outputs;
       while (cursor[best] < outs.size() &&
-             Traits::OutputSeq(outs[cursor[best]]) == best_seq) {
+             Kind::OutputSeq(outs[cursor[best]]) == best_seq) {
         result.outputs.push_back(std::move(outs[cursor[best]]));
         ++cursor[best];
       }
@@ -1540,38 +1534,27 @@ typename Traits::RunResultT ShardedExecutorT<Traits>::RunImpl(
   return result;
 }
 
-template <class Traits>
-typename Traits::RunResultT ShardedExecutorT<Traits>::Run(
-    StreamSource* source) {
-  return RunImpl(
-      [&]() { return source->BorrowBatch(options_.batch_size); });
+template <class Kind>
+typename Kind::RunResultT ShardedExecutorT<Kind>::Run(StreamSource* source) {
+  return RunImpl(StreamRefill{source, options_.batch_size});
 }
 
-template <class Traits>
-typename Traits::RunResultT ShardedExecutorT<Traits>::RunEvents(
+template <class Kind>
+typename Kind::RunResultT ShardedExecutorT<Kind>::RunEvents(
     const std::vector<Event>& events) {
-  // The caller's vector is const, and the loop stamps sequence numbers,
-  // so slices stage through batch_buf_.
-  size_t pos = 0;
-  return RunImpl([&]() -> std::span<Event> {
-    const size_t count = std::min(options_.batch_size, events.size() - pos);
-    batch_buf_.assign(events.begin() + static_cast<ptrdiff_t>(pos),
-                      events.begin() + static_cast<ptrdiff_t>(pos + count));
-    pos += count;
-    return {batch_buf_.data(), count};
-  });
+  return RunImpl(EventsRefill{&events, &batch_buf_, options_.batch_size});
 }
 
-template <class Traits>
-Status ShardedExecutorT<Traits>::Restore(const std::string& path,
-                                         uint64_t* stream_offset) {
+template <class Kind>
+Status ShardedExecutorT<Kind>::Restore(const std::string& path,
+                                       uint64_t* stream_offset) {
   std::vector<Engine*> shards;
   shards.reserve(engines_.size());
   for (auto& e : engines_) shards.push_back(e.get());
   EngineStats merged;
   std::string router_state;
-  ASEQ_RETURN_NOT_OK(ckpt::RestoreShardedSnapshot(path, shards, stream_offset,
-                                                  &merged, &router_state));
+  ASEQ_RETURN_NOT_OK(ckpt::RestoreShardedSnapshot<Engine>(
+      path, shards, stream_offset, &merged, &router_state));
   ckpt::Reader router_reader(router_state);
   ASEQ_RETURN_NOT_OK(router_.Restore(&router_reader));
   ASEQ_RETURN_NOT_OK(router_reader.ExpectEnd());

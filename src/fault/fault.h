@@ -43,7 +43,7 @@ enum class Kind : uint8_t {
 /// The catalog (docs/internals.md §14):
 ///   router.route  one hit per event routed by exec::ShardRouter
 ///                 (coordinator thread; honors crash, overload)
-///   worker.op     one hit per op executed by a ShardedExecutor worker,
+///   worker.op     one hit per op executed by a sharded-executor worker,
 ///                 counted per shard via the spec's @shard selector
 ///                 (honors crash, stall, slow)
 ///   ckpt.write    one hit per snapshot file written by

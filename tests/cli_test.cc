@@ -323,6 +323,77 @@ TEST(CliTest, WorkloadRejectsBadInputs) {
   EXPECT_NE(bad.err.find(":1:"), std::string::npos);  // line number reported
 }
 
+TEST(CliTest, EngineFlagsAreValidatedBeforeTheTraceIsRead) {
+  // A bad --engine / --slack / --strategy must be reported as such, not
+  // masked by the (missing) trace: flags are checked before any loading.
+  const std::string missing_trace = "/nonexistent-dir/trace.csv";
+  const std::string query =
+      "PATTERN SEQ(DELL, IPIX) GROUP BY traderId AGG COUNT WITHIN 800ms";
+  CliResult engine = RunTool({"run", "--query", query, "--trace",
+                              missing_trace, "--engine", "bogus"});
+  EXPECT_EQ(engine.code, 1);
+  EXPECT_NE(engine.err.find("--engine"), std::string::npos) << engine.err;
+  EXPECT_EQ(engine.err.find("IoError"), std::string::npos) << engine.err;
+
+  CliResult slack = RunTool({"run", "--query", query, "--trace",
+                             missing_trace, "--slack", "-5"});
+  EXPECT_EQ(slack.code, 1);
+  EXPECT_NE(slack.err.find("--slack"), std::string::npos) << slack.err;
+  EXPECT_EQ(slack.err.find("IoError"), std::string::npos) << slack.err;
+
+  std::string path = ::testing::TempDir() + "/aseq_cli_strategy_queries.txt";
+  {
+    std::ofstream f(path);
+    f << query << "\n";
+  }
+  CliResult strategy = RunTool({"workload", "--queries", path, "--trace",
+                                missing_trace, "--strategy", "bogus"});
+  EXPECT_EQ(strategy.code, 1);
+  EXPECT_NE(strategy.err.find("--strategy"), std::string::npos)
+      << strategy.err;
+  EXPECT_EQ(strategy.err.find("IoError"), std::string::npos) << strategy.err;
+}
+
+TEST(CliTest, FailedInvocationLeavesObservabilityFilesUntouched) {
+  // Output sinks open only once every flag and input is valid: a run that
+  // fails validation must not truncate files from an earlier run.
+  const std::string metrics = ::testing::TempDir() + "/aseq_cli_keep.jsonl";
+  const std::string trace = ::testing::TempDir() + "/aseq_cli_keep.json";
+  const std::string original = "{\"type\":\"header\",\"keep\":true}\n";
+  for (const std::string& file : {metrics, trace}) {
+    std::ofstream f(file, std::ios::binary | std::ios::trunc);
+    f << original;
+  }
+  auto contents = [](const std::string& file) {
+    std::stringstream buf;
+    buf << std::ifstream(file, std::ios::binary).rdbuf();
+    return buf.str();
+  };
+  // --queries is missing.
+  CliResult no_queries = RunTool({"workload", "--stock", "10", "--metrics-out",
+                                  metrics, "--trace-out", trace});
+  EXPECT_EQ(no_queries.code, 1);
+  EXPECT_NE(no_queries.err.find("--queries"), std::string::npos)
+      << no_queries.err;
+  // The queries file does not parse.
+  std::string bad = ::testing::TempDir() + "/aseq_cli_keep_bad.txt";
+  {
+    std::ofstream f(bad);
+    f << "NOT A QUERY\n";
+  }
+  CliResult bad_queries = RunTool({"workload", "--queries", bad, "--stock",
+                                   "10", "--metrics-out", metrics,
+                                   "--trace-out", trace});
+  EXPECT_EQ(bad_queries.code, 1);
+  // The query itself does not parse.
+  CliResult bad_query = RunTool({"run", "--query", "SEQ(A, B)", "--stock",
+                                 "10", "--metrics-out", metrics,
+                                 "--trace-out", trace});
+  EXPECT_EQ(bad_query.code, 1);
+  EXPECT_EQ(contents(metrics), original);
+  EXPECT_EQ(contents(trace), original);
+}
+
 TEST(CliTest, CompareJoinQueryFallsBackToBaseline) {
   CliResult r = RunTool({"compare", "--query",
                      "PATTERN SEQ(DELL, IPIX) WHERE DELL.price < IPIX.price "

@@ -194,13 +194,13 @@ void CheckMultiRecovery(
     BatchRunner prefix_runner = MakeRunner();
     MultiRunResult pre = prefix_runner.RunMultiEvents(prefix, victim.get());
     const std::string path = SnapshotPath(label, kill);
-    Status saved = ckpt::SaveMultiSnapshot(path, *victim, kill);
+    Status saved = ckpt::SaveEngineSnapshot(path, *victim, kill);
     ASSERT_TRUE(saved.ok()) << context << ": " << saved.ToString();
     victim.reset();
 
     auto revived = factory();
     uint64_t offset = 0;
-    Status restored = ckpt::RestoreMultiSnapshot(path, revived.get(), &offset);
+    Status restored = ckpt::RestoreEngineSnapshot(path, revived.get(), &offset);
     ASSERT_TRUE(restored.ok()) << context << ": " << restored.ToString();
     ASSERT_EQ(offset, kill) << context;
 

@@ -1,5 +1,5 @@
 // Sharded-vs-serial equivalence: the partition-parallel executor
-// (exec::ShardedExecutor) must produce outputs *byte-identical* to the
+// (exec::ShardedExecutorT) must produce outputs *byte-identical* to the
 // serial per-event reference — same (ts, seq, group, value) in the same
 // global order — and identical merged EngineStats (modulo the batch
 // counters, exactly as the OnBatch contract), for every shardable query
@@ -16,6 +16,7 @@
 #include <iterator>
 #include <memory>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -347,7 +348,7 @@ TEST(ShardFallbackTest, PlanShardingReportsShardable) {
 // Multi-query workloads: the sharding engines on the same executor
 // ---------------------------------------------------------------------------
 //
-// The multi-query sharded executor (exec::MultiShardedExecutor behind
+// The workload binding of the sharded executor (behind
 // exec::MakeMultiPolicy) must match the serial sharing engine bit-exact:
 // the same query-tagged outputs in the same global order, and identical
 // merged EngineStats including the live-object peak, for every sharing
@@ -551,14 +552,107 @@ TEST(MultiShardEquivalenceTest, NegationWorkloadHybridAndNonShare) {
 
 TEST(MultiShardEquivalenceTest, SingleQueryWorkload) {
   // The one-query degenerate case must behave exactly like the
-  // single-query sharded path.
+  // single-query path: the same outputs as MakePolicy(q), serial and at
+  // every shard count, for every sharing strategy.
   auto c = MakeStock(512, 2000);
   std::vector<CompiledQuery> queries = MustCompileAll(
       &c->schema,
       {"PATTERN SEQ(DELL, IPIX) GROUP BY traderId AGG COUNT WITHIN 800ms"});
+  const CompiledQuery& q = queries.front();
+  std::vector<size_t> shard_counts = {1};
+  shard_counts.insert(shard_counts.end(), std::begin(kShardCounts),
+                      std::end(kShardCounts));
   for (const char* strategy : kSharingStrategies) {
     CheckMultiSharded(queries, c->events, strategy,
                       std::string("single-") + strategy);
+    exec::MultiEngineFactory factory = MultiFactory(strategy, queries);
+    for (size_t shards : shard_counts) {
+      for (size_t batch : kBatchSizes) {
+        const std::string context = std::string("single-") + strategy +
+                                    " vs MakePolicy shards=" +
+                                    std::to_string(shards) +
+                                    " batch=" + std::to_string(batch);
+        RunOptions options;
+        options.num_shards = shards;
+        options.batch_size = batch;
+        std::string reason;
+        auto single = exec::MakePolicy(q, AseqFactory(q), options, &reason);
+        ASSERT_TRUE(single.ok()) << context << ": "
+                                 << single.status().ToString();
+        ASSERT_TRUE(reason.empty()) << context << ": " << reason;
+        auto workload = exec::MakeMultiPolicy(queries, factory, options,
+                                              &reason);
+        ASSERT_TRUE(workload.ok()) << context << ": "
+                                   << workload.status().ToString();
+        ASSERT_TRUE(reason.empty()) << context << ": " << reason;
+        ASSERT_EQ((*single)->num_shards(), shards) << context;
+        ASSERT_EQ((*workload)->num_shards(), shards) << context;
+
+        RunResult want = (*single)->RunEvents(c->events);
+        MultiRunResult got = (*workload)->RunEvents(c->events);
+        ASSERT_GT(want.outputs.size(), 0u) << context;
+        std::vector<Output> got_outputs;
+        for (const MultiOutput& mo : got.outputs) {
+          EXPECT_EQ(mo.query_index, 0u) << context;
+          got_outputs.push_back(mo.output);
+        }
+        ExpectOutputsEqual(want.outputs, got_outputs, context);
+        EXPECT_EQ(want.events, got.events) << context;
+      }
+    }
+  }
+}
+
+TEST(MultiShardEquivalenceTest, SingleQueryWorkloadRoutesLikeSingleQuery) {
+  // For one query, the workload router's batched (query-major) interning
+  // is the single-query router's per-event interning: the same owner
+  // shard, key id and trigger for every event, and byte-identical router
+  // snapshots — so shard placement and sharded checkpoints do not depend
+  // on which path built the router.
+  auto c = MakeStock(513, 3000);
+  for (const char* text :
+       {"PATTERN SEQ(DELL, IPIX) GROUP BY traderId AGG COUNT WITHIN 800ms",
+        "PATTERN SEQ(DELL, IPIX, AMAT) GROUP BY traderId AGG COUNT",
+        "PATTERN SEQ(DELL, !QQQ, IPIX) GROUP BY traderId "
+        "AGG SUM(IPIX.volume) WITHIN 1s"}) {
+    std::vector<CompiledQuery> queries = MustCompileAll(&c->schema, {text});
+    const CompiledQuery& q = queries.front();
+    for (size_t shards : kShardCounts) {
+      const std::string context =
+          std::string(text) + " shards=" + std::to_string(shards);
+      exec::ShardRouter single(q, shards);
+      exec::MultiShardRouter workload(queries, shards);
+      size_t triggers = 0;
+      for (size_t begin = 0; begin < c->events.size(); begin += 64) {
+        const size_t n = std::min<size_t>(64, c->events.size() - begin);
+        std::span<const Event> batch(c->events.data() + begin, n);
+        std::span<const exec::MultiShardRouter::Route> routes =
+            workload.RouteBatch(batch);
+        ASSERT_EQ(routes.size(), n) << context;
+        for (size_t i = 0; i < n; ++i) {
+          const exec::ShardRouter::Route& want = single.RouteEvent(batch[i]);
+          const exec::MultiShardRouter::Route& got = routes[i];
+          const std::string at =
+              context + " seq=" + std::to_string(batch[i].seq());
+          ASSERT_EQ(want.shard, got.shard) << at;
+          ASSERT_EQ(want.has_key, got.has_key) << at;
+          ASSERT_EQ(want.key_id, got.key_id) << at;
+          ASSERT_EQ(want.trigger, got.trigger) << at;
+          // Markers name the windowed query only.
+          const bool marker = want.trigger && q.has_window();
+          ASSERT_EQ(got.trigger_queries,
+                    marker ? std::vector<size_t>{0} : std::vector<size_t>{})
+              << at;
+          triggers += want.trigger ? 1 : 0;
+        }
+      }
+      EXPECT_GT(triggers, 0u) << context << ": vacuous stream";
+      ckpt::Writer want_state, got_state;
+      single.Checkpoint(&want_state);
+      workload.Checkpoint(&got_state);
+      EXPECT_GT(want_state.size(), sizeof(uint64_t)) << context;
+      EXPECT_EQ(want_state.buffer(), got_state.buffer()) << context;
+    }
   }
 }
 
