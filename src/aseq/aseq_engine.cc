@@ -9,123 +9,6 @@
 namespace aseq {
 
 // ---------------------------------------------------------------------------
-// AseqEngine (DPC / SEM)
-// ---------------------------------------------------------------------------
-
-AseqEngine::AseqEngine(CompiledQuery query)
-    : query_(std::move(query)),
-      length_(query_.num_positive()),
-      carrier_pos1_(query_.agg_positive_pos() >= 0
-                        ? static_cast<size_t>(query_.agg_positive_pos()) + 1
-                        : 0),
-      counters_(length_, query_.agg().func, carrier_pos1_, query_.window_ms(),
-                &stats_),
-      program_(query_) {
-  assert(!query_.partitioned());
-  assert(!query_.has_join_predicates());
-}
-
-void AseqEngine::ProcessEvent(const Event& e, std::vector<Output>* out) {
-  ++stats_.events_processed;
-  bool trigger = false;
-  plan::AdmissionRecord rec;
-  for (const plan::RoleProgram& rp : program_.RolesFor(e.type())) {
-    // Fused qualify + carrier load; no partition parts to extract here.
-    if (!program_.AdmitRole(e, rp, &rec, &stats_)) continue;
-    const Role& role = rp.role;
-    if (role.negated) {
-      counters_.ResetPrefix(role.position);
-      continue;
-    }
-    if (role.position == 1) {
-      counters_.OnStart(e, rec.carrier, Sink());
-    } else {
-      counters_.ApplyUpdate(role.position, rec.carrier, Sink());
-    }
-    if (role.position == length_) trigger = true;
-  }
-  if (trigger) {
-    Output output;
-    output.ts = e.ts();
-    output.seq = e.seq();
-    output.value = TotalValue();
-    output.overflow = stats_.overflow;
-    out->push_back(std::move(output));
-    ++stats_.outputs;
-  }
-}
-
-void AseqEngine::OnEvent(const Event& e, std::vector<Output>* out) {
-  counters_.Purge(e.ts(), Sink());
-  ProcessEvent(e, out);
-}
-
-void AseqEngine::OnBatch(std::span<const Event> batch,
-                         std::vector<Output>* out) {
-  if (batch.empty()) return;
-  const bool windowed = counters_.windowed();
-  const Timestamp window_ms = counters_.window_ms();
-  // Lower bound on the earliest live expiration: Purge(now) is a no-op for
-  // now < next_expiry, so those calls are skipped without changing state.
-  Timestamp next_expiry = counters_.next_expiry();
-  for (const Event& e : batch) {
-    if (e.ts() >= next_expiry) {
-      counters_.Purge(e.ts(), Sink());
-      next_expiry = counters_.next_expiry();
-    }
-    ProcessEvent(e, out);
-    if (windowed) {
-      // Any counter ProcessEvent created expires at e.ts() + window or
-      // later, so the cached bound stays a valid lower bound.
-      const Timestamp bound = e.ts() + window_ms;
-      if (bound < next_expiry) next_expiry = bound;
-    }
-  }
-  stats_.NoteBatch(batch.size());
-}
-
-std::vector<Output> AseqEngine::Poll(Timestamp now) {
-  counters_.Purge(now, Sink());
-  Output output;
-  output.ts = now;
-  output.value = TotalValue();
-  output.overflow = stats_.overflow;
-  return {std::move(output)};
-}
-
-Value AseqEngine::TotalValue() const {
-  const AggFunc func = query_.agg().func;
-  if (Invertible(func)) return FinalizeTotals(func, total_count_, &total_sum_);
-  AggAccum acc;
-  counters_.MergeExtInto(&acc);
-  return acc.Finalize(func);
-}
-
-Status AseqEngine::Checkpoint(ckpt::Writer* writer) const {
-  ckpt::WriteStats(writer, stats_);
-  counters_.Checkpoint(writer);
-  // The count verbatim: once a count saturated, the running total is no
-  // longer the sum of the live tails, so a rebuild could differ from it.
-  writer->WriteU64(total_count_);
-  return Status::OK();
-}
-
-Status AseqEngine::Restore(ckpt::Reader* reader) {
-  EngineStats stats;
-  ASEQ_RETURN_NOT_OK(ckpt::ReadStats(reader, &stats));
-  ASEQ_RETURN_NOT_OK(counters_.Restore(reader));
-  ASEQ_RETURN_NOT_OK(reader->ReadU64(&total_count_, "running count"));
-  // The exact sum is order-independent, so rebuilding it from the restored
-  // tails is bit-identical to the sum the checkpointed engine held.
-  total_sum_ = ExactSum();
-  if (HasSum(query_.agg().func)) counters_.AddTailSums(&total_sum_);
-  // Stats last: the structural rebuild above must not perturb the restored
-  // object accounting.
-  stats_ = stats;
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
 // HpcEngine
 // ---------------------------------------------------------------------------
 
@@ -141,14 +24,22 @@ HpcEngine::HpcEngine(CompiledQuery query)
       group_part_(query_.partition_spec().group_part >= 0
                       ? static_cast<size_t>(query_.partition_spec().group_part)
                       : 0),
-      single_part_(num_parts_ == 1),
+      single_part_(num_parts_ <= 1),
       store_(single_part_),
       program_(query_),
       has_sum_(HasSum(query_.agg().func)) {
-  assert(query_.partitioned());
   assert(!query_.has_join_predicates());
   assert(num_parts_ <= container::kMaxKeyParts &&
          "CreateAseqEngine rejects wider keys");
+  if (num_parts_ == 0 && !query_.has_window()) {
+    // The DPC counter of an unbounded unpartitioned query is live from the
+    // start (Sec. 3.1), and it never expires.
+    const container::InternedKey global;
+    const uint64_t hash = container::InternedKeyHash{}(global);
+    *store_.Upsert(hash, global).first =
+        store_.Emplace(global, hash, length_, query_.agg().func,
+                       carrier_pos1_, query_.window_ms(), &stats_);
+  }
 }
 
 void HpcEngine::PrefetchIndex() const {
@@ -345,7 +236,8 @@ Value HpcEngine::RunningTotal(uint32_t gid) const {
 
 void HpcEngine::ErasePartition(uint32_t slot) { store_.Erase(slot); }
 
-void HpcEngine::SyncPurgeTo(Timestamp now) {
+void HpcEngine::SyncPurgeTo(Timestamp now,
+                            std::span<const size_t> /*trigger_queries*/) {
   if (!query_.has_window()) return;  // nothing ever expires
   if (invertible()) {
     AdvanceExpiry(now);
@@ -518,10 +410,7 @@ Result<std::unique_ptr<QueryEngine>> CreateAseqEngine(
         query.ToString() +
         "' has general join predicates (use the stack-based baseline)");
   }
-  if (query.partitioned()) {
-    return std::unique_ptr<QueryEngine>(new HpcEngine(query));
-  }
-  return std::unique_ptr<QueryEngine>(new AseqEngine(query));
+  return std::unique_ptr<QueryEngine>(new HpcEngine(query));
 }
 
 }  // namespace aseq

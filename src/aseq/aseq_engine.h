@@ -18,76 +18,22 @@
 
 namespace aseq {
 
-/// \brief The single-query A-Seq engine for unpartitioned queries:
-/// Dynamic Prefix Counting (Sec. 3.1) for unbounded windows, Start Event
-/// Marking (Sec. 3.2) for sliding windows, with negation via the
-/// Recounting Rule (Sec. 3.3) and local predicates pushed in front.
-///
-/// No sequence match is ever constructed: each event updates O(1) cells in
-/// each live prefix counter and is immediately discarded.
-class AseqEngine : public QueryEngine {
- public:
-  explicit AseqEngine(CompiledQuery query);
-
-  void OnEvent(const Event& e, std::vector<Output>* out) override;
-  /// Batched path: hoists the window-expiry check out of the per-event
-  /// loop via a cached next-expiry lower bound (purge calls that would be
-  /// no-ops are skipped, so state and stats stay byte-identical to the
-  /// per-event path) and dispatches roles through a flat per-type table
-  /// instead of a hash probe.
-  void OnBatch(std::span<const Event> batch, std::vector<Output>* out) override;
-  std::vector<Output> Poll(Timestamp now) override;
-  const EngineStats& stats() const override { return stats_; }
-  Status Checkpoint(ckpt::Writer* writer) const override;
-  Status Restore(ckpt::Reader* reader) override;
-  std::string name() const override {
-    return query_.has_window() ? "A-Seq(SEM)" : "A-Seq(DPC)";
-  }
-
-  const CompiledQuery& query() const { return query_; }
-
-  /// Number of live prefix counters (testing hook).
-  size_t num_counters() const { return counters_.num_counters(); }
-
- protected:
-  EngineStats* mutable_stats() override { return &stats_; }
-
- private:
-  /// Role dispatch + trigger handling for one event; the caller has
-  /// already ensured expired counters are purged as of e.ts().
-  void ProcessEvent(const Event& e, std::vector<Output>* out);
-
-  /// The aggregate over the live counters (call after purging): O(1) for
-  /// invertible aggregates, a counter walk for MIN/MAX.
-  Value TotalValue() const;
-
-  /// The running totals the counters fold their tail changes into
-  /// (invertible aggregates; an empty sink for MIN/MAX).
-  TotalSink Sink() {
-    if (!Invertible(query_.agg().func)) return {};
-    return {&total_count_, HasSum(query_.agg().func) ? &total_sum_ : nullptr};
-  }
-
-  CompiledQuery query_;
-  EngineStats stats_;
-  size_t length_;        // L: number of positive elements
-  size_t carrier_pos1_;  // 1-based aggregate carrier position; 0 for COUNT
-  CounterSet counters_;
-  // Running full-match totals over the live counters (see Sink()).
-  uint64_t total_count_ = 0;
-  ExactSum total_sum_;
-  /// Compiled admission program (src/plan/): dense EventTypeId-indexed
-  /// role dispatch + typed local-predicate opcodes + fused carrier load.
-  /// Borrows query_'s predicate storage — declared after it.
-  plan::AdmissionProgram program_;
-};
-
-/// \brief The partitioned A-Seq engine: Hashed Prefix Counters (Sec. 3.4)
-/// for equivalence predicates and GROUP BY.
+/// \brief The single-query A-Seq engine: Hashed Prefix Counters (Sec. 3.4)
+/// for equivalence predicates and GROUP BY, and their degenerate case, an
+/// unpartitioned query, as one global partition — Dynamic Prefix Counting
+/// (Sec. 3.1) for unbounded windows, Start Event Marking (Sec. 3.2) for
+/// sliding ones. Negation follows the Recounting Rule (Sec. 3.3) and local
+/// predicates are pushed in front. No sequence match is ever constructed:
+/// each event updates O(1) cells in each live prefix counter it reaches.
 ///
 /// Each distinct partition key owns a CounterSet; positive instances route
 /// to their partition, negated instances invalidate the partitions matching
-/// on the key parts that constrain them.
+/// on the key parts that constrain them. An unpartitioned query's key has
+/// zero parts (every id kNoId), so every instance routes to the one global
+/// partition through the store's direct-mapped slot array, and the global
+/// (`per_group_ == false`) totals serve its triggers. Every add into a
+/// partition comes after purging it as of the event's timestamp, so the
+/// live-object peaks are those of the paper's single counter set.
 ///
 /// Execution is staged through the compiled admission layer (src/plan/):
 /// plan::BatchAdmitter::AdmitBatch qualifies, extracts, and *interns*
@@ -115,10 +61,11 @@ class AseqEngine : public QueryEngine {
 /// geometry so restores reproduce it byte-for-byte.
 ///
 /// Each partition key owns disjoint state, so the executor can split the
-/// partition store across N twin instances by GROUP BY key (the grouped
-/// sharing engines shard the same way). The only cross-partition coupling
-/// is window expiry at trigger time, which ShardableEngine::SyncPurgeTo
-/// replicates on the shards that do not own the trigger.
+/// partition store of a partitioned query across N twin instances by
+/// GROUP BY key (the grouped sharing engines shard the same way). The only
+/// cross-partition coupling is window expiry at trigger time, which
+/// ShardableEngine::SyncPurgeTo replicates on the shards that do not own
+/// the trigger.
 class HpcEngine : public QueryEngine, public ShardableEngine {
  public:
   explicit HpcEngine(CompiledQuery query);
@@ -137,16 +84,25 @@ class HpcEngine : public QueryEngine, public ShardableEngine {
   /// both from the restored partitions.
   Status Checkpoint(ckpt::Writer* writer) const override;
   Status Restore(ckpt::Reader* reader) override;
-  std::string name() const override { return "A-Seq(HPC)"; }
+  /// The algorithm the query's shape selects: A-Seq(HPC) when partitioned,
+  /// else A-Seq(SEM) with a window and A-Seq(DPC) without.
+  std::string name() const override {
+    if (query_.partitioned()) return "A-Seq(HPC)";
+    return query_.has_window() ? "A-Seq(SEM)" : "A-Seq(DPC)";
+  }
 
   const CompiledQuery& query() const { return query_; }
 
   size_t num_partitions() const { return store_.size(); }
 
-  /// ShardableEngine: replays the cross-partition purge a trigger at `now`
-  /// performs — AdvanceExpiry for invertible aggregates, ScanTotal's
-  /// purge-and-erase sweep (without the aggregation) for MIN/MAX.
-  void SyncPurgeTo(Timestamp now) override;
+  /// ShardableEngine: only a partitioned query's state splits by key.
+  bool shardable() const override { return query_.partitioned(); }
+  /// Replays the cross-partition purge a trigger at `now` performs —
+  /// AdvanceExpiry for invertible aggregates, ScanTotal's purge-and-erase
+  /// sweep (without the aggregation) for MIN/MAX. One query: the trigger
+  /// set is always this engine's, so `trigger_queries` is ignored.
+  void SyncPurgeTo(Timestamp now,
+                   std::span<const size_t> trigger_queries) override;
   EngineStats* shard_mutable_stats() override { return &stats_; }
 
  protected:
@@ -256,7 +212,9 @@ class HpcEngine : public QueryEngine, public ShardableEngine {
   uint64_t full_mask_;    // covered_mask value meaning "every part"
   bool per_group_;        // GROUP BY present
   size_t group_part_;     // index of the GROUP BY part (0 if none)
-  bool single_part_;      // one-part key: dense direct-mapped store index
+  // Zero- or one-part key: dense direct-mapped store index (a zero-part
+  // key is all kNoId, so the global partition sits in its reserved slot).
+  bool single_part_;
   /// The partition-state spine (src/state/): interner + index + slab.
   state::PartitionStore<Partition> store_;
   /// Compiled admission program (src/plan/): dense role dispatch, typed
@@ -279,7 +237,7 @@ class HpcEngine : public QueryEngine, public ShardableEngine {
   state::WindowClock clock_;
 };
 
-/// \brief Builds the right A-Seq engine for an analyzed query.
+/// \brief Builds the A-Seq engine (an HpcEngine) for an analyzed query.
 ///
 /// Fails with Unsupported if the query carries join predicates (A-Seq
 /// pushes only local and equivalence predicates into counting; use the

@@ -23,8 +23,8 @@ class Reader;
 /// A CounterSet keeps no total of its own: every change to one of its tail
 /// (full-pattern) cells it applies to the sink as it happens — the match
 /// count, and for SUM/AVG the exact sum of the tail wsums — so the owner
-/// (AseqEngine's single total, HpcEngine's per-group or global totals)
-/// reads its answer in O(1) and never snapshots or diffs an accumulator.
+/// (HpcEngine's per-group or global totals) reads its answer in O(1) and
+/// never snapshots or diffs an accumulator.
 /// Null fields are not tracked (an empty sink for MIN/MAX).
 struct TotalSink {
   uint64_t* count = nullptr;
@@ -100,8 +100,8 @@ class CounterSet {
 
   /// Earliest expiration among live counters, or Timestamp max when nothing
   /// can expire (unbounded mode, or no live counters). Purge(now) is a
-  /// no-op for any `now < next_expiry()` — the batched engines use this to
-  /// skip provably-idle purge calls without changing observable state.
+  /// no-op for any `now < next_expiry()` — HpcEngine's window clock
+  /// schedules its partition revisits by it.
   Timestamp next_expiry() const {
     if (window_ms_ <= 0 || entries_.empty()) {
       return std::numeric_limits<Timestamp>::max();

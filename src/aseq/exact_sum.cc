@@ -2,6 +2,8 @@
 
 #include <limits>
 
+#include "ckpt/ckpt.h"
+
 namespace aseq {
 
 void ExactSum::AccumulateNonFinite(uint64_t bits, bool negate) {
@@ -90,6 +92,22 @@ double ExactSum::Finalize() const {
                     : std::numeric_limits<double>::infinity();
   }
   return std::bit_cast<double>(sign | (biased << 52) | (mant & kFracMask));
+}
+
+void ExactSum::Checkpoint(ckpt::Writer* w) const {
+  for (uint64_t limb : limbs_) w->WriteU64(limb);
+  w->WriteI64(nan_);
+  w->WriteI64(pos_inf_);
+  w->WriteI64(neg_inf_);
+}
+
+Status ExactSum::Restore(ckpt::Reader* r) {
+  for (uint64_t& limb : limbs_) {
+    ASEQ_RETURN_NOT_OK(r->ReadU64(&limb, "exact sum limb"));
+  }
+  ASEQ_RETURN_NOT_OK(r->ReadI64(&nan_, "exact sum NaN count"));
+  ASEQ_RETURN_NOT_OK(r->ReadI64(&pos_inf_, "exact sum +inf count"));
+  return r->ReadI64(&neg_inf_, "exact sum -inf count");
 }
 
 }  // namespace aseq

@@ -5,7 +5,14 @@
 #include <bit>
 #include <cstdint>
 
+#include "common/status.h"
+
 namespace aseq {
+
+namespace ckpt {
+class Writer;
+class Reader;
+}  // namespace ckpt
 
 /// \brief An exact, order-independent, invertible sum of doubles.
 ///
@@ -43,6 +50,11 @@ class ExactSum {
   double Finalize() const;
 
   bool operator==(const ExactSum& other) const = default;
+
+  /// Serializes the exact state verbatim (limbs, then the non-finite
+  /// counts), for owners that cannot rebuild it from retained operands.
+  void Checkpoint(ckpt::Writer* w) const;
+  Status Restore(ckpt::Reader* r);
 
  private:
   void Accumulate(double x, bool negate) {

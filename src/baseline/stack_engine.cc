@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "aseq/aggregate.h"
 #include "ckpt/ckpt.h"
 
 namespace aseq {
@@ -71,7 +72,7 @@ void StackEngine::PurgeExpired(Timestamp now) {
     GroupAgg& agg = it->second;
     assert(agg.count > 0);
     --agg.count;
-    agg.sum -= item.value;
+    agg.sum.Sub(item.value);
     if (!agg.values.empty()) {
       auto vit = agg.values.find(item.value);
       if (vit != agg.values.end()) agg.values.erase(vit);
@@ -342,7 +343,7 @@ void StackEngine::RecordMatch(Timestamp now) {
 
   GroupAgg& agg = groups_[group];
   ++agg.count;
-  agg.sum += value;
+  agg.sum.Add(value);
   if (query_.agg().func == AggFunc::kMin ||
       query_.agg().func == AggFunc::kMax) {
     agg.values.insert(value);
@@ -369,30 +370,14 @@ Output StackEngine::MakeOutput(Timestamp ts, SeqNum seq, const Value* group) {
     auto it = groups_.find(Value());
     if (it != groups_.end()) agg = &it->second;
   }
-  uint64_t count = agg != nullptr ? agg->count : 0;
-  double sum = agg != nullptr ? agg->sum : 0;
-  switch (query_.agg().func) {
-    case AggFunc::kCount:
-      output.value = Value(static_cast<int64_t>(count));
-      break;
-    case AggFunc::kSum:
-      output.value = Value(sum);
-      break;
-    case AggFunc::kAvg:
-      output.value = count == 0
-                         ? Value()
-                         : Value(sum / static_cast<double>(count));
-      break;
-    case AggFunc::kMin:
-      output.value = (agg == nullptr || agg->values.empty())
-                         ? Value()
-                         : Value(*agg->values.begin());
-      break;
-    case AggFunc::kMax:
-      output.value = (agg == nullptr || agg->values.empty())
-                         ? Value()
-                         : Value(*agg->values.rbegin());
-      break;
+  const AggFunc func = query_.agg().func;
+  if (Invertible(func)) {
+    output.value = agg != nullptr
+                       ? FinalizeTotals(func, agg->count, &agg->sum)
+                       : FinalizeTotals(func, 0, nullptr);
+  } else if (agg != nullptr && !agg->values.empty()) {
+    output.value = Value(func == AggFunc::kMin ? *agg->values.begin()
+                                               : *agg->values.rbegin());
   }
   return output;
 }
@@ -403,38 +388,17 @@ Output StackEngine::MakeLazyOutput(Timestamp ts, SeqNum seq,
   output.ts = ts;
   output.seq = seq;
   if (group != nullptr) output.group = *group;
-  uint64_t count = 0;
-  double sum = 0;
-  bool has_ext = false;
-  double ext = 0;
-  const bool want_min = query_.agg().func == AggFunc::kMin;
+  AggAccum acc;
+  const AggFunc func = query_.agg().func;
   for (const auto& [id, match] : lazy_matches_) {
     ++stats_.work_units;  // the post-filter pass the paper charges
     if (group != nullptr && !match.group.Equals(*group)) continue;
     if (!LazyMatchValid(match)) continue;
-    ++count;
-    sum += match.value;
-    if (!has_ext || (want_min ? match.value < ext : match.value > ext)) {
-      has_ext = true;
-      ext = match.value;
-    }
+    ++acc.count;
+    if (HasSum(func)) acc.sum.Add(match.value);
+    if (!Invertible(func)) acc.MergeExt(match.value, func);
   }
-  switch (query_.agg().func) {
-    case AggFunc::kCount:
-      output.value = Value(static_cast<int64_t>(count));
-      break;
-    case AggFunc::kSum:
-      output.value = Value(sum);
-      break;
-    case AggFunc::kAvg:
-      output.value =
-          count == 0 ? Value() : Value(sum / static_cast<double>(count));
-      break;
-    case AggFunc::kMin:
-    case AggFunc::kMax:
-      output.value = has_ext ? Value(ext) : Value();
-      break;
-  }
+  output.value = acc.Finalize(func);
   return output;
 }
 
@@ -465,15 +429,12 @@ Status StackEngine::Checkpoint(ckpt::Writer* writer) const {
   for (const auto& [group, agg] : groups_) {
     ckpt::WriteValue(writer, group);
     writer->WriteU64(agg.count);
-    writer->WriteDouble(agg.sum);
+    agg.sum.Checkpoint(writer);
     writer->WriteU64(agg.values.size());
     for (double v : agg.values) writer->WriteDouble(v);
   }
   // Expiry heaps serialize their underlying array verbatim, not a drained
-  // copy: the comparator keys on exp alone, so equal expirations pop in
-  // array-layout order, and PurgeExpired retracts match values from agg.sum
-  // in that order — a floating-point sum the pop order must reproduce
-  // exactly (see ckpt::HeapContainer).
+  // copy (see ckpt::HeapContainer).
   const auto& expiry_heap = ckpt::HeapContainer(expiry_);
   writer->WriteU64(expiry_heap.size());
   for (const ExpiryItem& item : expiry_heap) {
@@ -483,11 +444,15 @@ Status StackEngine::Checkpoint(ckpt::Writer* writer) const {
   }
   writer->WriteU64(next_lazy_id_);
   writer->WriteU64(live_matches_);
-  // Bucket count pins lazy_matches_' iteration order, which MakeLazyOutput's
-  // floating-point merge order observes.
-  writer->WriteU64(lazy_matches_.bucket_count());
-  writer->WriteU64(lazy_matches_.size());
-  for (const auto& [id, match] : lazy_matches_) {
+  // Retained matches in ascending id order: a pure function of the state,
+  // whatever the hash table's iteration order (no output observes it).
+  std::vector<uint64_t> lazy_ids;
+  lazy_ids.reserve(lazy_matches_.size());
+  for (const auto& [id, match] : lazy_matches_) lazy_ids.push_back(id);
+  std::sort(lazy_ids.begin(), lazy_ids.end());
+  writer->WriteU64(lazy_ids.size());
+  for (uint64_t id : lazy_ids) {
+    const LazyMatch& match = lazy_matches_.at(id);
     writer->WriteU64(id);
     writer->WriteI64(match.exp);
     writer->WriteDouble(match.value);
@@ -561,13 +526,16 @@ Status StackEngine::Restore(ckpt::Reader* reader) {
   }
   groups_.clear();
   uint64_t n_groups = 0;
-  ASEQ_RETURN_NOT_OK(reader->ReadCount(&n_groups, 25, "aggregation groups"));
+  // Per group at least: value tag, count, ExactSum (34 limbs + 3 counts),
+  // value count.
+  ASEQ_RETURN_NOT_OK(
+      reader->ReadCount(&n_groups, 1 + 8 + 37 * 8 + 8, "aggregation groups"));
   for (uint64_t i = 0; i < n_groups; ++i) {
     Value group;
     ASEQ_RETURN_NOT_OK(ckpt::ReadValue(reader, &group));
     GroupAgg agg;
     ASEQ_RETURN_NOT_OK(reader->ReadU64(&agg.count, "group count"));
-    ASEQ_RETURN_NOT_OK(reader->ReadDouble(&agg.sum, "group sum"));
+    ASEQ_RETURN_NOT_OK(agg.sum.Restore(reader));
     uint64_t n_values = 0;
     ASEQ_RETURN_NOT_OK(reader->ReadCount(&n_values, 8, "group values"));
     for (uint64_t j = 0; j < n_values; ++j) {
@@ -591,12 +559,9 @@ Status StackEngine::Restore(ckpt::Reader* reader) {
   }
   ASEQ_RETURN_NOT_OK(reader->ReadU64(&next_lazy_id_, "next lazy id"));
   ASEQ_RETURN_NOT_OK(reader->ReadU64(&live_matches_, "live match count"));
-  uint64_t lazy_buckets = 0;
   uint64_t n_lazy = 0;
-  ASEQ_RETURN_NOT_OK(reader->ReadU64(&lazy_buckets, "lazy bucket count"));
   ASEQ_RETURN_NOT_OK(reader->ReadCount(&n_lazy, 49, "retained matches"));
-  std::vector<std::pair<uint64_t, LazyMatch>> parsed;
-  parsed.reserve(n_lazy);
+  lazy_matches_.clear();
   for (uint64_t i = 0; i < n_lazy; ++i) {
     uint64_t id = 0;
     LazyMatch match;
@@ -613,12 +578,7 @@ Status StackEngine::Restore(ckpt::Reader* reader) {
       ASEQ_RETURN_NOT_OK(reader->ReadU64(&hi, "bound hi"));
       match.bounds.emplace_back(lo, hi);
     }
-    parsed.emplace_back(id, std::move(match));
-  }
-  lazy_matches_.clear();
-  lazy_matches_.rehash(lazy_buckets);
-  for (auto it = parsed.rbegin(); it != parsed.rend(); ++it) {
-    if (!lazy_matches_.emplace(it->first, std::move(it->second)).second) {
+    if (!lazy_matches_.emplace(id, std::move(match)).second) {
       return Status::ParseError(
           "snapshot corrupt: duplicate retained-match id");
     }

@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "aseq/exact_sum.h"
 #include "engine/engine.h"
 #include "plan/admission.h"
 #include "query/compiled_query.h"
@@ -103,7 +104,7 @@ class StackEngine : public QueryEngine {
   /// Aggregation bookkeeping for one group (or the single global group).
   struct GroupAgg {
     uint64_t count = 0;
-    double sum = 0;
+    ExactSum sum;  // exact, so retraction order never shows in the output
     std::multiset<double> values;  // MIN/MAX only
   };
 

@@ -33,7 +33,10 @@ namespace ckpt {
 ///   3  exact SUM/AVG totals: SUM/AVG engines checkpoint their window
 ///      clock, running totals are rebuilt on restore instead of stored,
 ///      and engine stats carry the sticky count-overflow flag
-inline constexpr uint32_t kSnapshotFormatVersion = 3;
+///   4  one A-Seq engine: an unpartitioned query checkpoints the HPC
+///      payload (its one global partition); the stack baseline stores
+///      exact group sums and no hash-table bucket count
+inline constexpr uint32_t kSnapshotFormatVersion = 4;
 inline constexpr char kSnapshotMagic[] = "ASEQCKPT";  // 8 bytes, no NUL
 
 /// Header fields recovered before the engine payload is touched.

@@ -685,10 +685,17 @@ struct RunCommand {
 
   const FlagSet& flags;
   EngineSpec spec;
+  size_t limit = 20;                   // --limit: results printed
   std::vector<CompiledQuery> queries;  // exactly one once compiled
 
   Status ParseFlags() {
     ASEQ_ASSIGN_OR_RETURN(spec, EngineSpecFromFlags(flags));
+    ASEQ_ASSIGN_OR_RETURN(int64_t n, flags.GetInt("limit", 20));
+    if (n < 0) {
+      return Status::InvalidArgument(
+          "--limit expects N >= 0 (the number of trailing results printed)");
+    }
+    limit = static_cast<size_t>(n);
     return Status::OK();
   }
   std::string Label() const { return spec.kind; }
@@ -717,10 +724,6 @@ struct RunCommand {
       }
     }
     if (!flags.GetBool("quiet")) {
-      auto limit_or = flags.GetInt("limit", 20);
-      size_t limit = limit_or.ok() && *limit_or >= 0
-                         ? static_cast<size_t>(*limit_or)
-                         : 20;
       size_t start = result->outputs.size() > limit
                          ? result->outputs.size() - limit
                          : 0;
@@ -865,16 +868,12 @@ int CmdCompare(const FlagSet& flags, std::ostream& out, std::ostream& err) {
   if (aseq_run.outputs.size() != stack_run.outputs.size()) {
     mismatches = SIZE_MAX;
   } else {
+    // Both engines sum exactly (ExactSum), so every aggregate must agree
+    // bit-for-bit.
     for (size_t i = 0; i < aseq_run.outputs.size(); ++i) {
-      const Value& a = aseq_run.outputs[i].value;
-      const Value& b = stack_run.outputs[i].value;
-      bool same = a.Equals(b);
-      if (!same && a.is_numeric() && b.is_numeric()) {
-        double x = a.ToDouble(), y = b.ToDouble();
-        double scale = std::max({1.0, std::abs(x), std::abs(y)});
-        same = std::abs(x - y) <= 1e-9 * scale;
+      if (!aseq_run.outputs[i].value.Equals(stack_run.outputs[i].value)) {
+        ++mismatches;
       }
-      if (!same) ++mismatches;
     }
   }
   out << "query:   " << query->ToString() << "\n";

@@ -40,10 +40,10 @@ struct Output {
 
 /// \brief Single-query evaluation engine interface.
 ///
-/// Implemented by the A-Seq engines (DPC / SEM / HPC) and by the
-/// stack-based baseline. The window slides on every arrival (the paper's
-/// window semantics), so OnEvent both expires state and processes the
-/// event; TRIG arrivals append results to `out`.
+/// Implemented by the A-Seq engine (HpcEngine: DPC / SEM / HPC by query
+/// shape) and by the stack-based baseline. The window slides on every
+/// arrival (the paper's window semantics), so OnEvent both expires state
+/// and processes the event; TRIG arrivals append results to `out`.
 class QueryEngine {
  public:
   virtual ~QueryEngine() = default;
@@ -112,66 +112,35 @@ class QueryEngine {
   virtual EngineStats* mutable_stats() { return nullptr; }
 };
 
-/// \brief Optional capability interface for engines whose grouped state
-/// can be hash-partitioned across independent twin instances (see
-/// exec::ShardedExecutorT; exec::QueryKind binds this interface). Engines
-/// opt in by also deriving from this; the policy builder discovers support
-/// with a dynamic_cast and falls back to serial execution when the cast
-/// fails (wrappers and baselines never shard).
+/// \brief Optional capability interface for engines — of either hierarchy
+/// (QueryEngine or MultiQueryEngine) — whose grouped state can be
+/// hash-partitioned by GROUP BY key across independent twin instances (see
+/// exec::ShardedExecutorT). Engines opt in by also deriving from this and
+/// answer per instance through shardable(); the policy builder probes with
+/// one dynamic_cast plus that call (AsShardable) and falls back to serial
+/// execution when either says no (wrappers and baselines never shard).
 ///
-/// A shardable engine promises that events whose GROUP BY key values
-/// differ touch disjoint state *except* for window expiry: a trigger
-/// event purges expired state across every partition, not only its own.
-/// SyncPurgeTo replicates exactly that cross-partition purge — no output,
-/// no work-unit charge, only object expiry — so a shard that observes a
-/// purge marker for a trigger it does not own ends up byte-identical to
-/// its slice of the serial engine.
+/// A shardable engine promises that events whose group key values differ
+/// touch disjoint state *except* for window expiry: a trigger event purges
+/// expired state across every partition of the engines owning the
+/// triggered queries, not only its own key's. SyncPurgeTo replicates
+/// exactly that cross-partition purge — no output, no work-unit charge,
+/// only object expiry — so a shard that observes a purge marker for a
+/// trigger it does not own ends up byte-identical to its slice of the
+/// serial engine.
 class ShardableEngine {
  public:
   virtual ~ShardableEngine() = default;
 
-  /// Applies the cross-partition purges a trigger event with timestamp
-  /// `now` performs on state the trigger's own key does not cover.
-  virtual void SyncPurgeTo(Timestamp now) = 0;
-
-  /// Mutable stats access for the executor's per-event object-peak
-  /// windows (ObjectCounter::BeginPeakWindow) — the merge needs mid-event
-  /// maxima, which const stats() cannot expose.
-  virtual EngineStats* shard_mutable_stats() = 0;
-};
-
-/// \brief An Output attributed to one query of a multi-query workload.
-struct MultiOutput {
-  size_t query_index = 0;
-  Output output;
-};
-
-/// \brief Optional capability interface for multi-query engines whose
-/// shared state can be hash-partitioned by a common GROUP BY key across
-/// independent twin instances. exec::WorkloadKind binds it for the one
-/// sharded executor (exec::ShardedExecutorT), exactly as exec::QueryKind
-/// binds ShardableEngine; the two interfaces stay separate only because
-/// the engine hierarchies are (QueryEngine vs MultiQueryEngine).
-///
-/// The promise generalizes the single-query one: events whose group key
-/// values differ touch disjoint state, *except* that a trigger event
-/// purges expired state across every partition of the engines owning the
-/// triggered queries. SyncPurgeTo replicates exactly that cross-partition
-/// purge for the queries that actually triggered — no output, no
-/// work-unit charge, only object expiry.
-class MultiShardableEngine {
- public:
-  virtual ~MultiShardableEngine() = default;
-
-  /// True when this instance's workload actually supports partitioned
-  /// execution (e.g. every query groups by one shared attribute). Engines
-  /// implement the interface unconditionally and answer per workload, so
-  /// the execution policy can probe with one dynamic_cast plus this call.
+  /// True when this instance actually supports partitioned execution (a
+  /// partitioned query; a workload whose queries all do). Engines
+  /// implement the interface unconditionally and answer per instance.
   virtual bool shardable() const = 0;
 
   /// Applies the cross-partition purges that the trigger event at `now`
-  /// performs for the given triggered workload query indexes (ascending)
-  /// on state the trigger's own key does not cover.
+  /// performs on state the trigger's own key does not cover.
+  /// `trigger_queries` names the triggered workload query indexes
+  /// (ascending); a single-query engine ignores it.
   virtual void SyncPurgeTo(Timestamp now,
                            std::span<const size_t> trigger_queries) = 0;
 
@@ -179,11 +148,28 @@ class MultiShardableEngine {
   /// single Add of the combined delta, as the wrapper engines do), so its
   /// window_peak never carries a real intra-event maximum. The sharded
   /// executor then merges boundary totals only — a per-shard mid-event
-  /// high would be a point the serial engine never observed.
+  /// high would be a point the serial engine never observed. Engines that
+  /// count objects at add/remove granularity keep the default.
   virtual bool objects_sampled_at_boundaries() const { return false; }
 
-  /// See ShardableEngine::shard_mutable_stats.
+  /// Mutable stats access for the executor's per-event object-peak
+  /// windows (ObjectCounter::BeginPeakWindow) — the merge needs mid-event
+  /// maxima, which const stats() cannot expose.
   virtual EngineStats* shard_mutable_stats() = 0;
+};
+
+/// The engine's shardable interface when it implements one and agrees to
+/// shard, else null: the one probe every caller uses.
+template <class EngineT>
+ShardableEngine* AsShardable(EngineT* engine) {
+  auto* shardable = dynamic_cast<ShardableEngine*>(engine);
+  return shardable != nullptr && shardable->shardable() ? shardable : nullptr;
+}
+
+/// \brief An Output attributed to one query of a multi-query workload.
+struct MultiOutput {
+  size_t query_index = 0;
+  Output output;
 };
 
 /// \brief Multi-query evaluation engine interface (Sec. 4): processes every

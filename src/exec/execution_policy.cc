@@ -25,7 +25,7 @@ Result<std::unique_ptr<ExecutionPolicyT<Kind>>> MakePolicyT(
   }
 
   std::string reason = Kind::PlanSharding(queries).reason;
-  if (reason.empty() && Kind::AsShardable(first.get()) == nullptr) {
+  if (reason.empty() && AsShardable(first.get()) == nullptr) {
     // The queries shard, but this engine configuration does not — a
     // baseline engine, or a wrapper (reordering, change detection) whose
     // buffering is inherently cross-key-sequential.
@@ -42,7 +42,7 @@ Result<std::unique_ptr<ExecutionPolicyT<Kind>>> MakePolicyT(
   engines.push_back(std::move(first));
   for (size_t i = 1; i < shards; ++i) {
     ASEQ_ASSIGN_OR_RETURN(std::unique_ptr<Engine> twin, factory());
-    if (Kind::AsShardable(twin.get()) == nullptr) {
+    if (AsShardable(twin.get()) == nullptr) {
       return Status::InvalidArgument(
           "engine factory is not deterministic: shard 0 supports sharding "
           "but shard " +

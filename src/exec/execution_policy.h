@@ -21,25 +21,18 @@ namespace exec {
 //
 // The execution layer is written once, against an engine-kind traits
 // struct: a single query (QueryKind) and a workload of queries sharing
-// one stream (WorkloadKind) differ only in the bindings below. Each kind
-// names its engine, shardable-capability and output types, plus the few
-// calls that genuinely differ:
-//   - OutputSeq          the output's global event seq (merge key)
-//   - PlanSharding       whether the query/workload shards, and why not
-//   - AsShardable        the engine's shardable interface, or null when
-//                        this instance refuses partitioned execution
-//   - kMarkerNamesQueries / SyncPurge
-//                        what a purge marker carries and how a non-owner
-//                        shard applies it
-//   - BoundaryObjects    whether the engine's object peaks are sampled at
-//                        event boundaries only (see the sharded executor)
-// Snapshots need no binding: ckpt::SaveEngineSnapshot and friends are
-// generic over the engine type.
+// one stream (WorkloadKind) differ only in the bindings below — the
+// engine and output types plus the few calls that genuinely differ:
+//   - OutputSeq            the output's global event seq (merge key)
+//   - PlanSharding         whether the query/workload shards, and why not
+//   - kMarkerNamesQueries  what a purge marker carries
+// Both engine hierarchies shard through the one ShardableEngine interface
+// (AsShardable probes it), and snapshots need no binding:
+// ckpt::SaveEngineSnapshot and friends are generic over the engine type.
 
 /// One query: QueryEngine twins, scalar Output.
 struct QueryKind {
   using Engine = QueryEngine;
-  using Shardable = ShardableEngine;
   using OutputT = Output;
   using RunResultT = RunResult;
 
@@ -51,27 +44,12 @@ struct QueryKind {
   static ShardPlan PlanSharding(std::span<const CompiledQuery> queries) {
     return exec::PlanSharding(queries.front());
   }
-  static Shardable* AsShardable(Engine* engine) {
-    return dynamic_cast<Shardable*>(engine);
-  }
-  static void SyncPurge(Shardable* shardable, Timestamp now,
-                        std::span<const size_t> trigger_queries) {
-    (void)trigger_queries;
-    shardable->SyncPurgeTo(now);
-  }
-  /// Single-query engines count objects at add/remove granularity, so
-  /// their mid-event peaks are real serial observations.
-  static bool BoundaryObjects(const Shardable* shardable) {
-    (void)shardable;
-    return false;
-  }
 };
 
 /// A workload: MultiQueryEngine twins over every query, query-tagged
 /// MultiOutput.
 struct WorkloadKind {
   using Engine = MultiQueryEngine;
-  using Shardable = MultiShardableEngine;
   using OutputT = MultiOutput;
   using RunResultT = MultiRunResult;
 
@@ -82,24 +60,6 @@ struct WorkloadKind {
   static SeqNum OutputSeq(const OutputT& o) { return o.output.seq; }
   static ShardPlan PlanSharding(std::span<const CompiledQuery> queries) {
     return PlanMultiSharding(queries);
-  }
-  /// The probe is a dynamic_cast plus shardable(): baselines and wrappers
-  /// lack the interface, and an engine may implement it yet refuse this
-  /// workload.
-  static Shardable* AsShardable(Engine* engine) {
-    auto* shardable = dynamic_cast<Shardable*>(engine);
-    return shardable != nullptr && shardable->shardable() ? shardable
-                                                          : nullptr;
-  }
-  static void SyncPurge(Shardable* shardable, Timestamp now,
-                        std::span<const size_t> trigger_queries) {
-    shardable->SyncPurgeTo(now, trigger_queries);
-  }
-  /// Wrapper engines (NonShare, Hybrid) sample the combined sub-engine
-  /// total once per event, so their window_peak is not a serial
-  /// observation — merge boundary totals only.
-  static bool BoundaryObjects(const Shardable* shardable) {
-    return shardable->objects_sampled_at_boundaries();
   }
 };
 
@@ -166,7 +126,7 @@ using MultiExecutionPolicy = ExecutionPolicyT<WorkloadKind>;
 
 /// Builds the policy for `options.num_shards`: the sharded executor when
 /// more than one shard is requested, Kind::PlanSharding accepts `queries`
-/// and the engine opts in (Kind::AsShardable) — else the serial executor.
+/// and the engine opts in (AsShardable) — else the serial executor.
 /// When sharding was requested but refused, `*fallback_reason` (optional)
 /// receives why; the answer is then still exact, just serial — a sharded
 /// policy is never allowed to be wrong. `queries` must outlive the policy

@@ -13,24 +13,6 @@ namespace exec {
 
 namespace {
 
-/// Writes one snapshot at `offset` through `save(path, offset)` and
-/// accounts it; a failure is latched in `result->checkpoint_status`.
-template <typename SaveFn>
-void WriteCheckpoint(const RunOptions& options, uint64_t offset,
-                     RunResultBase* result, SaveFn& save) {
-  Status s = save(ckpt::SnapshotPathForOffset(options.checkpoint_dir, offset),
-                  offset);
-  if (!s.ok()) {
-    result->checkpoint_status = std::move(s);
-    return;
-  }
-  ++result->checkpoints_written;
-  if (options.telemetry != nullptr) {
-    options.telemetry->coord().checkpoints.Add(1);
-  }
-  result->last_checkpoint_offset = offset;
-}
-
 /// Writes a snapshot when the stream offset crosses the next checkpoint
 /// threshold. After the first I/O failure no further snapshots are
 /// attempted.

@@ -7,7 +7,9 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/snapshot.h"
 #include "exec/execution_policy.h"
+#include "obs/telemetry.h"
 
 namespace aseq {
 namespace exec {
@@ -40,6 +42,27 @@ struct EventsRefill {
     return {batch->data(), n};
   }
 };
+
+/// Writes one snapshot at stream `offset` through `save(path, offset)` and
+/// accounts it (checkpoints_written, the telemetry counter,
+/// last_checkpoint_offset); a failure is latched in
+/// `result->checkpoint_status`. Every checkpoint site of the serial and
+/// sharded executors goes through here.
+template <typename SaveFn>
+void WriteCheckpoint(const RunOptions& options, uint64_t offset,
+                     RunResultBase* result, SaveFn&& save) {
+  Status s = save(ckpt::SnapshotPathForOffset(options.checkpoint_dir, offset),
+                  offset);
+  if (!s.ok()) {
+    result->checkpoint_status = std::move(s);
+    return;
+  }
+  ++result->checkpoints_written;
+  if (options.telemetry != nullptr) {
+    options.telemetry->coord().checkpoints.Add(1);
+  }
+  result->last_checkpoint_offset = offset;
+}
 
 /// \brief The single-threaded policy: owns one engine (of either kind) and
 /// drives it on the calling thread through the serial core.

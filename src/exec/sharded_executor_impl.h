@@ -150,16 +150,16 @@ template <class Kind>
 class ShardedExecutorT : public ExecutionPolicyT<Kind> {
  public:
   using Engine = typename Kind::Engine;
-  using Shardable = typename Kind::Shardable;
   using OutputT = typename Kind::OutputT;
   using RunResultT = typename Kind::RunResultT;
   using FactoryT = EngineFactoryT<Engine>;
 
   /// `engines` must all be freshly constructed twins for the workload,
-  /// each implementing `Shardable` (the policy factory guarantees both).
-  /// `router` is the matching pre-built router; `send_markers` gates
-  /// purge markers (false when nothing ever expires). `factory` rebuilds
-  /// a twin after a supervised restart; supervision requires it.
+  /// each a ShardableEngine that agrees to shard (the policy factory
+  /// guarantees both). `router` is the matching pre-built router;
+  /// `send_markers` gates purge markers (false when nothing ever expires).
+  /// `factory` rebuilds a twin after a supervised restart; supervision
+  /// requires it.
   ShardedExecutorT(const RunOptions& options,
                    std::vector<std::unique_ptr<Engine>> engines,
                    ShardRouter router, bool send_markers, FactoryT factory);
@@ -341,8 +341,9 @@ class ShardedExecutorT : public ExecutionPolicyT<Kind> {
   void DrainMerger();
   /// Bulk-sums engine stats + the merger's object view.
   EngineStats ComputeMergedStats() const;
-  /// Writes the multi-shard snapshot container at `seq` (workers parked).
-  Status SaveSnapshotAt(uint64_t seq);
+  /// Writes the multi-shard snapshot container for stream offset `seq` to
+  /// `path` (workers parked).
+  Status SaveSnapshotAt(const std::string& path, uint64_t seq);
   /// Applies --pin-threads to a freshly spawned worker (Linux affinity;
   /// no-op with a one-shot warning when cores < shards or unsupported).
   void PinWorker(size_t shard);
@@ -374,7 +375,7 @@ class ShardedExecutorT : public ExecutionPolicyT<Kind> {
 
   RunOptions options_;
   std::vector<std::unique_ptr<Engine>> engines_;
-  std::vector<Shardable*> shardables_;
+  std::vector<ShardableEngine*> shardables_;
   FactoryT factory_;
   ShardRouter router_;
   bool send_markers_;  // false when nothing ever expires
@@ -419,7 +420,7 @@ ShardedExecutorT<Kind>::ShardedExecutorT(
   assert(engines_.size() > 1);
   options_.num_shards = engines_.size();
   for (auto& e : engines_) {
-    Shardable* shardable = Kind::AsShardable(e.get());
+    ShardableEngine* shardable = AsShardable(e.get());
     assert(shardable != nullptr &&
            "ShardedExecutorT requires shardable engine twins (the policy "
            "factory enforces this)");
@@ -438,9 +439,9 @@ template <class Kind>
 void ShardedExecutorT<Kind>::WorkerMain(size_t shard) {
   Lane& lane = *lanes_[shard];
   Engine* engine = engines_[shard].get();
-  Shardable* shardable = shardables_[shard];
+  ShardableEngine* shardable = shardables_[shard];
   EngineStats* stats = shardable->shard_mutable_stats();
-  const bool boundary_objects = Kind::BoundaryObjects(shardable);
+  const bool boundary_objects = shardable->objects_sampled_at_boundaries();
   const bool supervised = options_.supervise;
   const bool check_faults = fault::Injector::Global().armed();
   // Telemetry cell for this shard (null = off). The worker is the cell's
@@ -581,7 +582,7 @@ void ShardedExecutorT<Kind>::WorkerMain(size_t shard) {
                               lane.scratch.end());
         }
       } else {
-        Kind::SyncPurge(shardable, op.ts, op.trigger_queries);
+        shardable->SyncPurgeTo(op.ts, op.trigger_queries);
       }
       const int64_t after = objects.current();
       int64_t window_peak = objects.window_peak();
@@ -869,7 +870,8 @@ EngineStats ShardedExecutorT<Kind>::ComputeMergedStats() const {
 }
 
 template <class Kind>
-Status ShardedExecutorT<Kind>::SaveSnapshotAt(uint64_t seq) {
+Status ShardedExecutorT<Kind>::SaveSnapshotAt(const std::string& path,
+                                              uint64_t seq) {
   const EngineStats merged_now = ComputeMergedStats();
   std::vector<const Engine*> shards;
   shards.reserve(engines_.size());
@@ -879,9 +881,8 @@ Status ShardedExecutorT<Kind>::SaveSnapshotAt(uint64_t seq) {
   // interner table is captured consistently with shard state.
   ckpt::Writer router_state;
   router_.Checkpoint(&router_state);
-  return ckpt::SaveShardedSnapshot<Engine>(
-      ckpt::SnapshotPathForOffset(options_.checkpoint_dir, seq), shards, seq,
-      merged_now, router_state.buffer());
+  return ckpt::SaveShardedSnapshot<Engine>(path, shards, seq, merged_now,
+                                           router_state.buffer());
 }
 
 template <class Kind>
@@ -1011,7 +1012,7 @@ Status ShardedExecutorT<Kind>::RestartShard(size_t shard) {
         "executor through exec::MakePolicyT)");
   }
   ASEQ_ASSIGN_OR_RETURN(std::unique_ptr<Engine> fresh, factory_());
-  Shardable* shardable = Kind::AsShardable(fresh.get());
+  ShardableEngine* shardable = AsShardable(fresh.get());
   if (shardable == nullptr) {
     return Status::Internal(
         "engine factory stopped producing shardable engines during a "
@@ -1190,6 +1191,9 @@ typename Kind::RunResultT ShardedExecutorT<Kind>::RunImpl(
   RunResultT result;
   result.batch_size = options_.batch_size;
   result.num_shards = n;
+  const auto save = [this](const std::string& path, uint64_t offset) {
+    return SaveSnapshotAt(path, offset);
+  };
 
   // Per-run lane state, clear-not-shrink. Workers are not spawned yet, so
   // the single-threaded ring Clears are safe.
@@ -1420,16 +1424,7 @@ typename Kind::RunResultT ShardedExecutorT<Kind>::RunImpl(
           break;
         }
       }
-      if (ckpt_due) {
-        Status s = SaveSnapshotAt(seq);
-        if (s.ok()) {
-          ++result.checkpoints_written;
-          if (tel != nullptr) tel->coord().checkpoints.Add(1);
-          result.last_checkpoint_offset = seq;
-        } else {
-          result.checkpoint_status = std::move(s);
-        }
-      }
+      if (ckpt_due) WriteCheckpoint(options_, seq, &result, save);
       ResumeAll();
       if (next_ckpt != shard_detail::kNeverDue) {
         while (next_ckpt <= seq) next_ckpt += options_.checkpoint_every;
@@ -1462,14 +1457,7 @@ typename Kind::RunResultT ShardedExecutorT<Kind>::RunImpl(
     if (bs.ok() && arrived) {
       if (want_final_ckpt) {
         DrainMerger();
-        Status s = SaveSnapshotAt(seq);
-        if (s.ok()) {
-          ++result.checkpoints_written;
-          if (tel != nullptr) tel->coord().checkpoints.Add(1);
-          result.last_checkpoint_offset = seq;
-        } else {
-          result.checkpoint_status = std::move(s);
-        }
+        WriteCheckpoint(options_, seq, &result, save);
       }
       ResumeAll();
     } else if (!bs.ok()) {

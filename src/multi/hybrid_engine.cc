@@ -244,14 +244,10 @@ std::vector<MultiOutput> HybridMultiEngine::Poll(Timestamp now) {
 bool HybridMultiEngine::shardable() const {
   if (multi_parts_.empty() && single_parts_.empty()) return false;
   for (const MultiPart& part : multi_parts_) {
-    const auto* shardable =
-        dynamic_cast<const MultiShardableEngine*>(part.engine.get());
-    if (shardable == nullptr || !shardable->shardable()) return false;
+    if (AsShardable(part.engine.get()) == nullptr) return false;
   }
   for (const SinglePart& part : single_parts_) {
-    if (dynamic_cast<const ShardableEngine*>(part.engine.get()) == nullptr) {
-      return false;
-    }
+    if (AsShardable(part.engine.get()) == nullptr) return false;
   }
   return true;
 }
@@ -272,15 +268,15 @@ void HybridMultiEngine::SyncPurgeTo(Timestamp now,
       if (triggered(part.global_index[li])) local.push_back(li);
     }
     if (local.empty()) continue;
-    auto* shardable = dynamic_cast<MultiShardableEngine*>(part.engine.get());
+    ShardableEngine* shardable = AsShardable(part.engine.get());
     assert(shardable != nullptr);
     shardable->SyncPurgeTo(now, local);
   }
   for (SinglePart& part : single_parts_) {
     if (!triggered(part.global_index)) continue;
-    auto* shardable = dynamic_cast<ShardableEngine*>(part.engine.get());
+    ShardableEngine* shardable = AsShardable(part.engine.get());
     assert(shardable != nullptr);
-    shardable->SyncPurgeTo(now);
+    shardable->SyncPurgeTo(now, {});
   }
   // Resample the combined live-object total (purges only remove, so the
   // peak of the sum is unperturbed).

@@ -41,12 +41,10 @@ namespace aseq {
 /// Output `query_index`es always refer to the original workload order.
 ///
 /// Shardability is delegated: the hybrid shards iff every routed part does
-/// (multi parts via MultiShardableEngine::shardable, single parts via the
-/// ShardableEngine cast), and a purge marker forwards to exactly the parts
-/// owning triggered queries — mirroring which parts the serial hybrid
-/// would have purged at that trigger.
-class HybridMultiEngine : public MultiQueryEngine,
-                          public MultiShardableEngine {
+/// (one AsShardable probe per part, multi or single), and a purge marker
+/// forwards to exactly the parts owning triggered queries — mirroring
+/// which parts the serial hybrid would have purged at that trigger.
+class HybridMultiEngine : public MultiQueryEngine, public ShardableEngine {
  public:
   static Result<std::unique_ptr<HybridMultiEngine>> Create(
       std::vector<CompiledQuery> queries);
@@ -73,7 +71,7 @@ class HybridMultiEngine : public MultiQueryEngine,
   /// workload query, in workload order.
   const std::vector<std::string>& routing() const { return routing_; }
 
-  /// MultiShardableEngine: shards iff every routed part does.
+  /// ShardableEngine: shards iff every routed part does.
   bool shardable() const override;
   void SyncPurgeTo(Timestamp now,
                    std::span<const size_t> trigger_queries) override;

@@ -116,9 +116,7 @@ std::vector<MultiOutput> NonSharedEngine::Poll(Timestamp now) {
 
 bool NonSharedEngine::shardable() const {
   for (const auto& engine : engines_) {
-    if (dynamic_cast<const ShardableEngine*>(engine.get()) == nullptr) {
-      return false;
-    }
+    if (AsShardable(engine.get()) == nullptr) return false;
   }
   return true;
 }
@@ -129,9 +127,9 @@ void NonSharedEngine::SyncPurgeTo(Timestamp now,
   // serial sub-engine purges lazily at its *own* trigger events (see
   // HpcEngine::SyncPurgeTo), never at a sibling's.
   for (size_t qi : trigger_queries) {
-    auto* shardable = dynamic_cast<ShardableEngine*>(engines_[qi].get());
+    ShardableEngine* shardable = AsShardable(engines_[qi].get());
     assert(shardable != nullptr);
-    shardable->SyncPurgeTo(now);
+    shardable->SyncPurgeTo(now, {});
   }
   // Resample the combined live-object total (the purge only removes, so
   // the peak of the sum is unperturbed).

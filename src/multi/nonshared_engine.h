@@ -23,11 +23,12 @@ namespace aseq {
 /// cost independently — exactly the redundancy the shared engines remove.
 ///
 /// Shardability is delegated: the wrapper shards iff every sub-engine is a
-/// ShardableEngine (each query's state hash-partitions independently), and
+/// ShardableEngine that agrees to shard (each query's state
+/// hash-partitions independently; an ungrouped query's does not), and
 /// a purge marker for a set of triggered queries forwards to exactly those
 /// sub-engines — the serial wrapper's sub-engines purge lazily at their own
 /// trigger events, never at siblings'.
-class NonSharedEngine : public MultiQueryEngine, public MultiShardableEngine {
+class NonSharedEngine : public MultiQueryEngine, public ShardableEngine {
  public:
   /// Wraps pre-built engines (one per query).
   NonSharedEngine(std::vector<std::unique_ptr<QueryEngine>> engines,
@@ -63,7 +64,7 @@ class NonSharedEngine : public MultiQueryEngine, public MultiShardableEngine {
   QueryEngine* engine(size_t i) { return engines_[i].get(); }
   size_t num_queries() const { return engines_.size(); }
 
-  /// MultiShardableEngine: shards iff every sub-engine does.
+  /// ShardableEngine: shards iff every sub-engine does.
   bool shardable() const override;
   void SyncPurgeTo(Timestamp now,
                    std::span<const size_t> trigger_queries) override;

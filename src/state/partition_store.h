@@ -37,8 +37,9 @@ constexpr uint32_t DenseIdx(uint32_t id) { return id + 1u; }
 ///  - a partition index with no ordering obligations, rebuilt fresh on
 ///    restore: single-part keys (the common GROUP BY case) use a dense
 ///    direct-mapped slot array — interned ids index it outright, no
-///    hashing — and wider keys use an open-addressing FlatMap from
-///    InternedKey to slab slot;
+///    hashing — and so do zero-part keys (an unpartitioned query's one
+///    global partition, all kNoId, sits in the reserved bucket); wider
+///    keys use an open-addressing FlatMap from InternedKey to slab slot;
 ///  - a KeyInterner mapping distinct key Values to dense ids, append-only
 ///    and serialized in id order.
 ///

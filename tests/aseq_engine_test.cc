@@ -63,6 +63,12 @@ TEST(DpcEngineTest, EmptyStreamNoOutputs) {
   CompiledQuery cq = MustCompile(&schema, "PATTERN SEQ(A, B)");
   auto engine = CreateAseqEngine(cq);
   ASSERT_TRUE(engine.ok());
+  // An unpartitioned query is one global partition; its DPC counter is a
+  // live object before any event arrives (Sec. 3.1), and it cannot shard.
+  auto* hpc = static_cast<HpcEngine*>(engine->get());
+  EXPECT_EQ(hpc->num_partitions(), 1u);
+  EXPECT_EQ((*engine)->stats().objects.peak(), 1);
+  EXPECT_EQ(AsShardable(engine->get()), nullptr);
   EXPECT_TRUE(Feed(engine->get(), {}).empty());
   std::vector<Output> poll = (*engine)->Poll(100);
   ASSERT_EQ(poll.size(), 1u);

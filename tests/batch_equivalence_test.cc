@@ -16,6 +16,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "aseq/aseq_engine.h"
@@ -171,26 +172,44 @@ std::unique_ptr<QueryEngine> MustCreateAseq(const CompiledQuery& cq) {
 // Single-query engines
 // ---------------------------------------------------------------------------
 
+// Unpartitioned queries run as HpcEngine's one global partition.
 TEST(BatchEquivalenceTest, AseqDpcUnbounded) {
   auto c = MakeStock(21, 1200);
-  CompiledQuery cq =
-      MustCompile(&c->schema, "PATTERN SEQ(DELL, IPIX, AMAT) AGG COUNT");
-  CheckSingle([&] { return MustCreateAseq(cq); }, c->events, "aseq-dpc");
+  const std::pair<const char*, const char*> queries[] = {
+      {"aseq-dpc", "PATTERN SEQ(DELL, IPIX, AMAT) AGG COUNT"},
+      {"aseq-dpc-max", "PATTERN SEQ(DELL, IPIX) AGG MAX(IPIX.price)"},
+  };
+  for (const auto& [label, text] : queries) {
+    CompiledQuery cq = MustCompile(&c->schema, text);
+    CheckSingle([&] { return MustCreateAseq(cq); }, c->events, label);
+  }
 }
 
 TEST(BatchEquivalenceTest, AseqSemWindowed) {
   auto c = MakeStock(22, 2500);
-  CompiledQuery cq = MustCompile(
-      &c->schema, "PATTERN SEQ(DELL, IPIX, AMAT) AGG COUNT WITHIN 800ms");
-  CheckSingle([&] { return MustCreateAseq(cq); }, c->events, "aseq-sem");
+  const std::pair<const char*, const char*> queries[] = {
+      {"aseq-sem", "PATTERN SEQ(DELL, IPIX, AMAT) AGG COUNT WITHIN 800ms"},
+      {"aseq-sem-min",
+       "PATTERN SEQ(DELL, IPIX, AMAT) AGG MIN(AMAT.price) WITHIN 800ms"},
+  };
+  for (const auto& [label, text] : queries) {
+    CompiledQuery cq = MustCompile(&c->schema, text);
+    CheckSingle([&] { return MustCreateAseq(cq); }, c->events, label);
+  }
 }
 
 TEST(BatchEquivalenceTest, AseqSemNegation) {
   auto c = MakeStock(23, 2500);
-  CompiledQuery cq = MustCompile(
-      &c->schema, "PATTERN SEQ(DELL, !QQQ, AMAT) AGG COUNT WITHIN 800ms");
-  CheckSingle([&] { return MustCreateAseq(cq); }, c->events,
-              "aseq-sem-negation");
+  const std::pair<const char*, const char*> queries[] = {
+      {"aseq-sem-negation",
+       "PATTERN SEQ(DELL, !QQQ, AMAT) AGG COUNT WITHIN 800ms"},
+      {"aseq-sem-negation-max",
+       "PATTERN SEQ(DELL, !AMAT, IPIX) AGG MAX(IPIX.price) WITHIN 500ms"},
+  };
+  for (const auto& [label, text] : queries) {
+    CompiledQuery cq = MustCompile(&c->schema, text);
+    CheckSingle([&] { return MustCreateAseq(cq); }, c->events, label);
+  }
 }
 
 TEST(BatchEquivalenceTest, AseqSemSumAggregate) {

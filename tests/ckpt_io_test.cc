@@ -265,11 +265,13 @@ TEST(CkptIoTest, RejectsVersionSkew) {
 // partition store) restructured every HPC payload; version 3 dropped the
 // serialized running totals (restore rebuilds them, exact sums included),
 // added the window clock to SUM/AVG engines and the overflow flag to the
-// engine stats, so a v2 payload would misparse.
+// engine stats, so a v2 payload would misparse. Version 4 runs an
+// unpartitioned query as HPC's one global partition and gives the stack
+// baseline exact group sums, so a v3 payload of either would misparse.
 TEST(CkptIoTest, RejectsOldFormatVersions) {
-  static_assert(ckpt::kSnapshotFormatVersion == 3,
+  static_assert(ckpt::kSnapshotFormatVersion == 4,
                 "extend this test with the version being retired");
-  for (uint32_t old_version : {1u, 2u}) {
+  for (uint32_t old_version : {1u, 2u, 3u}) {
     const std::string path = TempPath("verold.aseqckpt");
     ASSERT_TRUE(ckpt::WriteSnapshotFile(path, "E", 1, "x").ok());
     std::string bytes = ReadFileBytes(path);

@@ -354,6 +354,26 @@ TEST(CliTest, EngineFlagsAreValidatedBeforeTheTraceIsRead) {
   EXPECT_EQ(strategy.err.find("IoError"), std::string::npos) << strategy.err;
 }
 
+TEST(CliTest, LimitFlagIsValidatedBeforeTheTraceIsRead) {
+  // A malformed or negative --limit is an InvalidArgument like every other
+  // flag, reported before the (missing) trace is touched.
+  const std::string query = "PATTERN SEQ(DELL, IPIX) AGG COUNT WITHIN 1s";
+  for (const char* bad : {"abc", "-3"}) {
+    CliResult r = RunTool({"run", "--query", query, "--trace",
+                           "/nonexistent-dir/trace.csv", "--limit", bad});
+    EXPECT_EQ(r.code, 1) << bad;
+    EXPECT_NE(r.err.find("InvalidArgument"), std::string::npos) << r.err;
+    EXPECT_NE(r.err.find("--limit"), std::string::npos) << r.err;
+    EXPECT_EQ(r.err.find("IoError"), std::string::npos) << r.err;
+  }
+  CliResult ok = RunTool({"run", "--query", query, "--stock", "2000",
+                          "--limit", "3"});
+  EXPECT_EQ(ok.code, 0) << ok.err;
+  EXPECT_NE(ok.out.find("earlier results omitted; --limit"),
+            std::string::npos)
+      << ok.out;
+}
+
 TEST(CliTest, FailedInvocationLeavesObservabilityFilesUntouched) {
   // Output sinks open only once every flag and input is valid: a run that
   // fails validation must not truncate files from an earlier run.

@@ -6,8 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <tuple>
 
 #include "aseq/aseq_engine.h"
@@ -57,14 +55,9 @@ TEST_P(AgreementSweepTest, ASeqMatchesStackBaseline) {
   for (size_t i = 0; i < a.outputs.size(); ++i) {
     const Value& av = a.outputs[i].value;
     const Value& sv = s.outputs[i].value;
-    bool same = av.Equals(sv);
-    if (!same && av.is_numeric() && sv.is_numeric()) {
-      double x = av.ToDouble(), y = sv.ToDouble();
-      double scale = std::max({1.0, std::fabs(x), std::fabs(y)});
-      same = std::fabs(x - y) <= 1e-9 * scale;
-    }
-    ASSERT_TRUE(same) << text << " output#" << i << ": " << av.ToString()
-                      << " vs " << sv.ToString();
+    // Both engines sum exactly (ExactSum): SUM/AVG agree bit-for-bit too.
+    ASSERT_TRUE(av.Equals(sv)) << text << " output#" << i << ": "
+                               << av.ToString() << " vs " << sv.ToString();
     if (!av.is_null() && !(av.type() == ValueType::kInt64 && av.AsInt64() == 0)) {
       ++nonzero;
     }

@@ -273,26 +273,44 @@ std::unique_ptr<MultiCase> MakeMulti(SharedWorkload workload, uint64_t seed,
 // Single-query engines
 // ---------------------------------------------------------------------------
 
+// Unpartitioned queries run as HpcEngine's one global partition.
 TEST(RecoveryEquivalenceTest, AseqDpcUnbounded) {
   auto c = MakeStock(61, 900);
-  CompiledQuery cq =
-      MustCompile(&c->schema, "PATTERN SEQ(DELL, IPIX, AMAT) AGG COUNT");
-  CheckRecovery([&] { return MustCreateAseq(cq); }, c->events, "aseq-dpc");
+  const std::pair<const char*, const char*> queries[] = {
+      {"aseq-dpc", "PATTERN SEQ(DELL, IPIX, AMAT) AGG COUNT"},
+      {"aseq-dpc-max", "PATTERN SEQ(DELL, IPIX) AGG MAX(IPIX.price)"},
+  };
+  for (const auto& [label, text] : queries) {
+    CompiledQuery cq = MustCompile(&c->schema, text);
+    CheckRecovery([&] { return MustCreateAseq(cq); }, c->events, label);
+  }
 }
 
 TEST(RecoveryEquivalenceTest, AseqSemWindowed) {
   auto c = MakeStock(62, 1200);
-  CompiledQuery cq = MustCompile(
-      &c->schema, "PATTERN SEQ(DELL, IPIX, AMAT) AGG COUNT WITHIN 800ms");
-  CheckRecovery([&] { return MustCreateAseq(cq); }, c->events, "aseq-sem");
+  const std::pair<const char*, const char*> queries[] = {
+      {"aseq-sem", "PATTERN SEQ(DELL, IPIX, AMAT) AGG COUNT WITHIN 800ms"},
+      {"aseq-sem-min",
+       "PATTERN SEQ(DELL, IPIX, AMAT) AGG MIN(AMAT.price) WITHIN 800ms"},
+  };
+  for (const auto& [label, text] : queries) {
+    CompiledQuery cq = MustCompile(&c->schema, text);
+    CheckRecovery([&] { return MustCreateAseq(cq); }, c->events, label);
+  }
 }
 
 TEST(RecoveryEquivalenceTest, AseqSemNegation) {
   auto c = MakeStock(63, 1200);
-  CompiledQuery cq = MustCompile(
-      &c->schema, "PATTERN SEQ(DELL, !QQQ, AMAT) AGG COUNT WITHIN 800ms");
-  CheckRecovery([&] { return MustCreateAseq(cq); }, c->events,
-                "aseq-sem-negation");
+  const std::pair<const char*, const char*> queries[] = {
+      {"aseq-sem-negation",
+       "PATTERN SEQ(DELL, !QQQ, AMAT) AGG COUNT WITHIN 800ms"},
+      {"aseq-sem-negation-max",
+       "PATTERN SEQ(DELL, !AMAT, IPIX) AGG MAX(IPIX.price) WITHIN 500ms"},
+  };
+  for (const auto& [label, text] : queries) {
+    CompiledQuery cq = MustCompile(&c->schema, text);
+    CheckRecovery([&] { return MustCreateAseq(cq); }, c->events, label);
+  }
 }
 
 TEST(RecoveryEquivalenceTest, AseqSemSumAggregate) {

@@ -692,8 +692,22 @@ TEST(MultiShardFallbackTest, UngroupedQueryInWorkload) {
       &c->schema,
       {"PATTERN SEQ(DELL, IPIX) GROUP BY traderId AGG COUNT WITHIN 800ms",
        "PATTERN SEQ(IPIX, DELL) AGG COUNT WITHIN 800ms"});
-  CheckMultiFallback(queries, MultiFactory("nonshare", queries), c->events,
-                     "query 1", "ungrouped-query");
+  for (const std::string strategy : {"nonshare", "hybrid"}) {
+    const exec::MultiEngineFactory factory = MultiFactory(strategy, queries);
+    CheckMultiFallback(queries, factory, c->events, "query 1",
+                       "ungrouped-query-" + strategy);
+    // The wrapper refuses on its own too: the ungrouped query's A-Seq engine
+    // implements ShardableEngine (it is an HpcEngine with one global
+    // partition) but answers shardable() == false.
+    auto engine = factory();
+    ASSERT_TRUE(engine.ok()) << strategy;
+    EXPECT_EQ(AsShardable(engine->get()), nullptr) << strategy;
+  }
+  auto ungrouped = CreateAseqEngine(queries[1]);
+  ASSERT_TRUE(ungrouped.ok());
+  auto* shardable = dynamic_cast<ShardableEngine*>(ungrouped->get());
+  ASSERT_NE(shardable, nullptr);
+  EXPECT_FALSE(shardable->shardable());
 }
 
 TEST(MultiShardFallbackTest, DifferentGroupAttributes) {
